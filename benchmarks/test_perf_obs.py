@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.obs import metrics as obs_metrics
 from repro.serve import InferenceService, ServiceConfig
 
@@ -56,9 +56,9 @@ def _train_once() -> float:
         (WORKLOAD["train_windows"], WORKLOAD["seq_len"],
          WORKLOAD["channels"])).astype(np.float32)
     start = time.perf_counter()
-    pretrain(TimeDRLConfig(**MODEL), data,
-             PretrainConfig(epochs=WORKLOAD["train_epochs"], batch_size=16,
-                            seed=0))
+    run_pretrain(TimeDRLConfig(**MODEL), data,
+                 PretrainConfig(epochs=WORKLOAD["train_epochs"], batch_size=16,
+                                seed=0))
     return time.perf_counter() - start
 
 
@@ -135,7 +135,7 @@ def test_perf_obs(benchmark, tmp_path):
     data = np.random.default_rng(0).standard_normal(
         (48, WORKLOAD["seq_len"], WORKLOAD["channels"])).astype(np.float32)
     obs_metrics.disable()
-    pretrain(TimeDRLConfig(**MODEL), data, PretrainConfig(
+    run_pretrain(TimeDRLConfig(**MODEL), data, PretrainConfig(
         epochs=1, batch_size=16, seed=0,
         checkpoint=CheckpointConfig(directory=str(tmp_path / "ckpt"),
                                     every_n_epochs=1)))

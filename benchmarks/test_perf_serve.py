@@ -34,7 +34,7 @@ import time
 import numpy as np
 
 from repro.checkpoint import CheckpointConfig
-from repro.core import PretrainConfig, TimeDRLConfig, pretrain
+from repro.core import PretrainConfig, TimeDRLConfig, run_pretrain
 from repro.serve import EmbeddingCache, InferenceService, ServiceConfig
 
 from conftest import run_once
@@ -54,7 +54,7 @@ def _make_checkpoint(directory: pathlib.Path) -> pathlib.Path:
     rng = np.random.default_rng(0)
     windows = rng.standard_normal(
         (64, WORKLOAD["seq_len"], WORKLOAD["channels"])).astype(np.float32)
-    pretrain(config, windows, PretrainConfig(
+    run_pretrain(config, windows, PretrainConfig(
         epochs=1, batch_size=16, seed=0,
         checkpoint=CheckpointConfig(directory=str(directory),
                                     every_n_epochs=1)))

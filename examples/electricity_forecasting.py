@@ -14,8 +14,8 @@ from repro.core import (
     PretrainConfig,
     TimeDRL,
     TimeDRLConfig,
-    fine_tune_forecasting,
-    pretrain,
+    run_finetune_forecasting,
+    run_pretrain,
 )
 from repro.data import load_forecasting_dataset, make_forecasting_data
 
@@ -28,23 +28,23 @@ def main() -> None:
                            channel_independence=True, seed=1)
 
     # Pre-train once on ALL unlabeled windows.
-    pretrained = pretrain(config, data.train,
-                          PretrainConfig(epochs=3, batch_size=32, seed=1)).model
+    pretrained = run_pretrain(config, data.train,
+                              PretrainConfig(epochs=3, batch_size=32, seed=1)).model
     state = pretrained.state_dict()
 
     print(f"{'labels':>8} | {'supervised MSE':>15} | {'TimeDRL (FT) MSE':>17}")
     print("-" * 48)
     for fraction in (0.1, 0.5, 1.0):
         supervised_model = TimeDRL(config)  # random init
-        supervised = fine_tune_forecasting(supervised_model, data,
-                                           label_fraction=fraction,
-                                           epochs=3, seed=1)
+        supervised = run_finetune_forecasting(supervised_model, data,
+                                              label_fraction=fraction,
+                                              epochs=3, seed=1)
 
         finetuned_model = TimeDRL(config)
         finetuned_model.load_state_dict(state)  # warm start from pre-training
-        finetuned = fine_tune_forecasting(finetuned_model, data,
-                                          label_fraction=fraction,
-                                          epochs=3, seed=1)
+        finetuned = run_finetune_forecasting(finetuned_model, data,
+                                             label_fraction=fraction,
+                                             epochs=3, seed=1)
         print(f"{fraction:>7.0%} | {supervised.mse:>15.4f} | {finetuned.mse:>17.4f}")
 
     print("\nThe gap should widen as the label fraction shrinks (paper Fig. 5).")

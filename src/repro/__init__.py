@@ -2,7 +2,8 @@
 
 Public entry points::
 
-    from repro.core import TimeDRL, TimeDRLConfig, pretrain
+    from repro.core import TimeDRL, TimeDRLConfig, run_pretrain
+    from repro.train import TrainOptions, TrainSession
     from repro.data import load_forecasting_dataset, load_classification_dataset
     from repro.evaluation import evaluate_forecasting, evaluate_classification
 """

@@ -39,7 +39,10 @@ class TrainingHooks:
 
     def on_after_backward(self, model, epoch: int, batch: int,
                           step: int) -> None:
-        """After ``backward()``, before clipping/step — mutate gradients."""
+        """After ``backward()``, before the gradient exchange, clipping
+        and step — mutate gradients.  The loss is checked on the
+        exchanged means, after this hook, so it also fires on a batch
+        whose loss is then found non-finite."""
 
     def on_batch_end(self, epoch: int, batch: int, step: int) -> None:
         """After the optimizer step and any checkpoint save — raise

@@ -42,11 +42,11 @@ from ..evaluation.forecasting import RidgeProbe, collect_forecast_features, ridg
 from ..nn import Tensor
 from ..nn import profiler as _profiler
 from ..obs.metrics import enabled as _obs_enabled
-from ..obs.metrics import get_registry as _obs_registry
 from ..telemetry import NULL_RUN
 from .config import RuntimeOptions, resolve_runtime
 from .model import TimeDRL
-from .pooling import instance_dim
+from .pooling import instance_dim, pool_instance
+from .pretrain import record_obs_epoch
 
 __all__ = [
     "ForecastResult",
@@ -58,8 +58,6 @@ __all__ = [
     "linear_evaluate_classification",
     "run_finetune_forecasting",
     "run_finetune_classification",
-    "fine_tune_forecasting",
-    "fine_tune_classification",
     "ForecastHead",
 ]
 
@@ -256,27 +254,6 @@ def _label_subset(n: int, fraction: float, rng: np.random.Generator) -> np.ndarr
     return rng.choice(n, size=min(count, n), replace=False)
 
 
-def _obs_epoch(task: str, batches: int, seconds: float,
-               mean_loss: float | None) -> None:
-    """Publish one fine-tuning epoch into the metrics registry.
-
-    Callers gate on ``_obs_enabled()`` sampled before the epoch so the
-    disabled path never reads the epoch clock.
-    """
-    registry = _obs_registry()
-    registry.counter("train_steps_total", "Optimizer steps taken",
-                     labels=("phase",)).labels(phase=task).inc(batches)
-    registry.counter("train_epochs_total", "Epochs completed",
-                     labels=("phase",)).labels(phase=task).inc()
-    registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                       labels=("phase",),
-                       buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                1800, 7200)).labels(phase=task).observe(seconds)
-    if mean_loss is not None:
-        registry.gauge("train_last_loss",
-                       "Most recent epoch's mean total loss").set(mean_loss)
-
-
 def _labelled_batches(fetch, labelled: np.ndarray, batch_size: int,
                       rng: np.random.Generator, use_prefetch: bool):
     """One fine-tuning epoch's ``(x, y)`` batches, optionally staged
@@ -289,6 +266,92 @@ def _labelled_batches(fetch, labelled: np.ndarray, batch_size: int,
             yield fetch(labelled[batch])
 
     return _prefetch_batches(generate(), enabled=use_prefetch)
+
+
+def _finetune(model: TimeDRL, head: nn.Module, rng: np.random.Generator,
+              task: str, n_train: int, fetch, batch_loss, label_fraction,
+              epochs, batch_size, lr, encoder_lr_scale, profile, prefetch,
+              run, checkpoint):
+    """The fine-tuning epoch loop both tasks share.
+
+    Trains ``model.encoder`` and ``head`` on a ``label_fraction`` subset
+    of the ``n_train`` rows that ``fetch(indices) -> (x, y)`` reads;
+    ``batch_loss(x, y)`` is the task's loss tensor.  ``rng`` must be the
+    generator ``head`` was initialised from: the label subset and the
+    epoch shuffles draw after it.  Returns the op profile when
+    ``profile`` is on, else ``None``.
+    """
+    phase = f"finetune_{task}"
+    model.train()
+    params = model.encoder.parameters() + head.parameters()
+    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
+    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
+                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
+    labelled = _label_subset(n_train, label_fraction, rng)
+    bundle = _CheckpointBundle(model, head)
+    pair = _OptimizerPair(optimizer, encoder_optimizer)
+    manager, start_epoch = _finetune_checkpointing(
+        checkpoint, run, phase, bundle, pair, rng)
+    obs_on = _obs_enabled()
+    track_loss = run.enabled or manager is not None or obs_on
+
+    if profile:
+        _profiler.enable()
+    for epoch in range(start_epoch, epochs):
+        loss_sum, loss_batches = 0.0, 0
+        epoch_started = time.perf_counter() if obs_on else 0.0
+        with run.span("finetune_epoch", task=task, index=epoch), \
+                closing(_labelled_batches(fetch, labelled, batch_size, rng,
+                                          prefetch)) as batches:
+            for x, y in batches:
+                optimizer.zero_grad()
+                encoder_optimizer.zero_grad()
+                loss = batch_loss(x, y)
+                loss.backward()
+                grad_norm = nn.clip_grad_norm(params, 5.0)
+                optimizer.step()
+                encoder_optimizer.step()
+                if track_loss:
+                    loss_sum += float(loss.data)
+                    loss_batches += 1
+        if obs_on:
+            record_obs_epoch(phase, loss_batches,
+                             time.perf_counter() - epoch_started,
+                             loss_sum / loss_batches if loss_batches else None)
+        if run.enabled and loss_batches:
+            run.log_epoch(epoch, loss=loss_sum / loss_batches,
+                          grad_norm=grad_norm, task=phase)
+        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
+                                    or epoch + 1 == epochs):
+            mean_loss = loss_sum / loss_batches if loss_batches else float("nan")
+            _finetune_save(manager, run, phase, bundle, pair, rng, epoch,
+                           mean_loss)
+    if not profile:
+        return None
+    _profiler.disable()
+    return _profiler.snapshot()
+
+
+def _forecast(model: TimeDRL, head: ForecastHead, x: np.ndarray,
+              pred_len: int) -> Tensor:
+    """Instance-normalised forecast ``(B, pred_len, C)`` of windows ``x``."""
+    config = model.config
+    flat_width = config.num_patches * config.d_model
+    z = model.encoder(model.encoder.prepare_input(x))
+    __, z_t = model.encoder.split(z)
+    if config.channel_independence:
+        batch_n, channels = x.shape[0], x.shape[2]
+        flat = z_t.reshape(batch_n * channels, flat_width)
+        pred = head(flat).reshape(batch_n, channels, pred_len)
+        return pred.transpose(0, 2, 1)
+    pred = head(z_t.reshape(x.shape[0], flat_width))
+    return pred.reshape(x.shape[0], pred_len, -1)
+
+
+def _class_logits(model: TimeDRL, head: nn.Module, x: np.ndarray) -> Tensor:
+    z = model.encoder(model.encoder.prepare_input(x))
+    z_i, z_t = model.encoder.split(z)
+    return head(pool_instance(z_i, z_t, model.config.pooling))
 
 
 def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
@@ -318,7 +381,7 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
     valid checkpoint, bit-identically at epoch granularity).
 
     ``runtime`` bundles the shared wiring (:class:`RuntimeOptions`); when
-    given it is authoritative over the legacy ``profile=``/``checkpoint=``
+    given it is authoritative over the ``profile=``/``checkpoint=``
     kwargs.
 
     ``prefetch=True`` stages each epoch's labelled batches through the
@@ -326,75 +389,24 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
     and contents — and therefore the trajectory — are unchanged.
     """
     opts = resolve_runtime(runtime, profile=profile, checkpoint=checkpoint)
-    profile, checkpoint = opts.profile, opts.checkpoint
     run = NULL_RUN if run is None else run
     rng = np.random.default_rng(seed)
     config = model.config
-    flat_width = config.num_patches * config.d_model
-    head = ForecastHead(flat_width, data.pred_len, rng=rng)
-    model.train()
-    params = model.encoder.parameters() + head.parameters()
-    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
-    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
-                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
-    labelled = _label_subset(len(data.train), label_fraction, rng)
-    bundle = _CheckpointBundle(model, head)
-    pair = _OptimizerPair(optimizer, encoder_optimizer)
-    manager, start_epoch = _finetune_checkpointing(
-        checkpoint, run, "finetune_forecasting", bundle, pair, rng)
-    obs_on = _obs_enabled()
-    track_loss = run.enabled or manager is not None or obs_on
+    head = ForecastHead(config.num_patches * config.d_model, data.pred_len,
+                        rng=rng)
 
-    if profile:
-        _profiler.enable()
-    for epoch in range(start_epoch, epochs):
-        loss_sum, loss_batches = 0.0, 0
-        epoch_started = time.perf_counter() if obs_on else 0.0
-        with run.span("finetune_epoch", task="forecasting", index=epoch), \
-                closing(_labelled_batches(data.train.batch, labelled,
-                                          batch_size, rng, prefetch)) as batches:
-            for x, y in batches:
-                mean, std = _window_stats(x)
-                target_norm = (y - mean) / std
-                x_patched = model.encoder.prepare_input(x)
-                optimizer.zero_grad()
-                encoder_optimizer.zero_grad()
-                z = model.encoder(x_patched)
-                __, z_t = model.encoder.split(z)
-                if config.channel_independence:
-                    batch_n, channels = x.shape[0], x.shape[2]
-                    flat = z_t.reshape(batch_n * channels, flat_width)
-                    pred = head(flat).reshape(batch_n, channels, data.pred_len)
-                    pred = pred.transpose(0, 2, 1)
-                else:
-                    pred = head(z_t.reshape(x.shape[0], flat_width))
-                    pred = pred.reshape(x.shape[0], data.pred_len, -1)
-                    if pred.shape[2] == 1 and target_norm.shape[2] > 1:
-                        raise ValueError("channel-mixing head horizon mismatch")
-                loss = nn.mse_loss(pred, Tensor(target_norm))
-                loss.backward()
-                grad_norm = nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-                encoder_optimizer.step()
-                if track_loss:
-                    loss_sum += float(loss.data)
-                    loss_batches += 1
-        if obs_on:
-            _obs_epoch("finetune_forecasting", loss_batches,
-                       time.perf_counter() - epoch_started,
-                       loss_sum / loss_batches if loss_batches else None)
-        if run.enabled and loss_batches:
-            run.log_epoch(epoch, loss=loss_sum / loss_batches,
-                          grad_norm=grad_norm, task="finetune_forecasting")
-        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
-                                    or epoch + 1 == epochs):
-            mean_loss = loss_sum / loss_batches if loss_batches else float("nan")
-            _finetune_save(manager, run, "finetune_forecasting", bundle, pair,
-                           rng, epoch, mean_loss)
-    profile_stats = None
-    if profile:
-        _profiler.disable()
-        profile_stats = _profiler.snapshot()
+    def batch_loss(x, y):
+        mean, std = _window_stats(x)
+        target_norm = (y - mean) / std
+        pred = _forecast(model, head, x, data.pred_len)
+        if pred.shape[2] == 1 and target_norm.shape[2] > 1:
+            raise ValueError("channel-mixing head horizon mismatch")
+        return nn.mse_loss(pred, Tensor(target_norm))
+
+    profile_stats = _finetune(
+        model, head, rng, "forecasting", len(data.train), data.train.batch,
+        batch_loss, label_fraction, epochs, batch_size, lr, encoder_lr_scale,
+        opts.profile, prefetch, run, opts.checkpoint)
 
     model.eval()
     preds, truth = [], []
@@ -402,18 +414,8 @@ def run_finetune_forecasting(model: TimeDRL, data: ForecastingData,
         indices = np.arange(start, min(start + _CHUNK, len(data.test)))
         x, y = data.test.batch(indices)
         mean, std = _window_stats(x)
-        x_patched = model.encoder.prepare_input(x)
         with nn.no_grad():
-            z = model.encoder(x_patched)
-            __, z_t = model.encoder.split(z)
-            if config.channel_independence:
-                batch_n, channels = x.shape[0], x.shape[2]
-                flat = z_t.reshape(batch_n * channels, flat_width)
-                pred = head(flat).data.reshape(batch_n, channels, data.pred_len)
-                pred = pred.transpose(0, 2, 1)
-            else:
-                pred = head(z_t.reshape(x.shape[0], flat_width)).data
-                pred = pred.reshape(x.shape[0], data.pred_len, -1)
+            pred = _forecast(model, head, x, data.pred_len).data
         preds.append(pred * std + mean)
         truth.append(y)
     y_pred = np.concatenate(preds)
@@ -439,78 +441,27 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
     """Fig. 5 classification fine-tuning; see
     :func:`run_finetune_forecasting`."""
     opts = resolve_runtime(runtime, profile=profile, checkpoint=checkpoint)
-    profile, checkpoint = opts.profile, opts.checkpoint
     run = NULL_RUN if run is None else run
     rng = np.random.default_rng(seed)
     config = model.config
     width = instance_dim(config.pooling, config.d_model, config.num_patches)
     head = nn.Linear(width, data.n_classes, rng=rng)
-    model.train()
-    params = model.encoder.parameters() + head.parameters()
-    optimizer = nn.AdamW(head.parameters(), lr=lr, weight_decay=1e-3)
-    encoder_optimizer = nn.AdamW(model.encoder.parameters(),
-                                 lr=lr * encoder_lr_scale, weight_decay=1e-3)
-    labelled = _label_subset(len(data.x_train), label_fraction, rng)
-    bundle = _CheckpointBundle(model, head)
-    pair = _OptimizerPair(optimizer, encoder_optimizer)
-    manager, start_epoch = _finetune_checkpointing(
-        checkpoint, run, "finetune_classification", bundle, pair, rng)
-    obs_on = _obs_enabled()
-    track_loss = run.enabled or manager is not None or obs_on
 
-    from .pooling import pool_instance
+    def batch_loss(x, y):
+        return nn.cross_entropy(_class_logits(model, head, x), y)
 
-    if profile:
-        _profiler.enable()
-    for epoch in range(start_epoch, epochs):
-        loss_sum, loss_batches = 0.0, 0
-        epoch_started = time.perf_counter() if obs_on else 0.0
-        with run.span("finetune_epoch", task="classification", index=epoch), \
-                closing(_labelled_batches(
-                    lambda idx: (data.x_train[idx], data.y_train[idx]),
-                    labelled, batch_size, rng, prefetch)) as batches:
-            for x, y in batches:
-                x_patched = model.encoder.prepare_input(x)
-                optimizer.zero_grad()
-                encoder_optimizer.zero_grad()
-                z = model.encoder(x_patched)
-                z_i, z_t = model.encoder.split(z)
-                pooled = pool_instance(z_i, z_t, config.pooling)
-                loss = nn.cross_entropy(head(pooled), y)
-                loss.backward()
-                grad_norm = nn.clip_grad_norm(params, 5.0)
-                optimizer.step()
-                encoder_optimizer.step()
-                if track_loss:
-                    loss_sum += float(loss.data)
-                    loss_batches += 1
-        if obs_on:
-            _obs_epoch("finetune_classification", loss_batches,
-                       time.perf_counter() - epoch_started,
-                       loss_sum / loss_batches if loss_batches else None)
-        if run.enabled and loss_batches:
-            run.log_epoch(epoch, loss=loss_sum / loss_batches,
-                          grad_norm=grad_norm, task="finetune_classification")
-        if manager is not None and ((epoch + 1) % checkpoint.every_n_epochs == 0
-                                    or epoch + 1 == epochs):
-            mean_loss = loss_sum / loss_batches if loss_batches else float("nan")
-            _finetune_save(manager, run, "finetune_classification", bundle,
-                           pair, rng, epoch, mean_loss)
-    profile_stats = None
-    if profile:
-        _profiler.disable()
-        profile_stats = _profiler.snapshot()
+    profile_stats = _finetune(
+        model, head, rng, "classification", len(data.x_train),
+        lambda idx: (data.x_train[idx], data.y_train[idx]), batch_loss,
+        label_fraction, epochs, batch_size, lr, encoder_lr_scale,
+        opts.profile, prefetch, run, opts.checkpoint)
 
     model.eval()
     logit_chunks = []
     for start in range(0, len(data.x_test), _CHUNK):
-        x = data.x_test[start: start + _CHUNK]
-        x_patched = model.encoder.prepare_input(x)
         with nn.no_grad():
-            z = model.encoder(x_patched)
-            z_i, z_t = model.encoder.split(z)
-            pooled = pool_instance(z_i, z_t, config.pooling)
-            logit_chunks.append(head(pooled).data)
+            logit_chunks.append(_class_logits(
+                model, head, data.x_test[start: start + _CHUNK]).data)
     predictions = np.concatenate(logit_chunks).argmax(axis=1)
     report = metrics.classification_report(data.y_test, predictions)
     result = ClassificationResult(accuracy=report["ACC"], macro_f1=report["MF1"],
@@ -520,63 +471,3 @@ def run_finetune_classification(model: TimeDRL, data: ClassificationData,
                     finetune_kappa=result.kappa,
                     finetune_label_fraction=label_fraction)
     return result
-
-
-def _deprecated_finetune(task: str, model, data, label_fraction, epochs,
-                         batch_size, lr, encoder_lr_scale, seed, profile,
-                         prefetch, run, checkpoint, runtime):
-    import warnings
-
-    warnings.warn(
-        f"repro.core.fine_tune_{task}() is deprecated; use "
-        "repro.train.TrainSession.finetune() (or "
-        f"repro.train.fine_tune_{task})",
-        DeprecationWarning, stacklevel=3)
-    from ..train import TrainOptions, TrainSession
-
-    # Match the legacy contract exactly: a given ``runtime`` was
-    # authoritative and the ``profile=``/``checkpoint=`` kwargs ignored.
-    options = TrainOptions(
-        label_fraction=label_fraction, epochs=epochs, batch_size=batch_size,
-        learning_rate=lr, encoder_lr_scale=encoder_lr_scale, seed=seed,
-        prefetch=prefetch, run=run, runtime=runtime,
-        profile=(profile or None) if runtime is None else None,
-        checkpoint=checkpoint if runtime is None else None)
-    session = TrainSession(model.config, model=model)
-    return session.finetune(data, task=task, options=options)
-
-
-def fine_tune_forecasting(model: TimeDRL, data: ForecastingData,
-                          label_fraction: float = 1.0, epochs: int = 5,
-                          batch_size: int = 32, lr: float = 1e-3,
-                          encoder_lr_scale: float = 0.1,
-                          seed: int = 0, profile: bool = False,
-                          prefetch: bool = False, run=None,
-                          checkpoint: CheckpointConfig | None = None,
-                          runtime: RuntimeOptions | None = None
-                          ) -> ForecastResult:
-    """Deprecated alias for the ``repro.train`` facade; bit-identical to
-    :meth:`repro.train.TrainSession.finetune` (locked by
-    ``tests/train/test_session.py``)."""
-    return _deprecated_finetune("forecasting", model, data, label_fraction,
-                                epochs, batch_size, lr, encoder_lr_scale,
-                                seed, profile, prefetch, run, checkpoint,
-                                runtime)
-
-
-def fine_tune_classification(model: TimeDRL, data: ClassificationData,
-                             label_fraction: float = 1.0, epochs: int = 10,
-                             batch_size: int = 32, lr: float = 1e-3,
-                             encoder_lr_scale: float = 0.1,
-                             seed: int = 0, profile: bool = False,
-                             prefetch: bool = False, run=None,
-                             checkpoint: CheckpointConfig | None = None,
-                             runtime: RuntimeOptions | None = None
-                             ) -> ClassificationResult:
-    """Deprecated alias for the ``repro.train`` facade; bit-identical to
-    :meth:`repro.train.TrainSession.finetune` (locked by
-    ``tests/train/test_session.py``)."""
-    return _deprecated_finetune("classification", model, data, label_fraction,
-                                epochs, batch_size, lr, encoder_lr_scale,
-                                seed, profile, prefetch, run, checkpoint,
-                                runtime)

@@ -18,6 +18,10 @@ boundary and resumed from its last checkpoint produces exactly the same
 parameters and losses as an uninterrupted run (see
 ``tests/checkpoint/test_resume_exact.py``).
 
+One loop: :class:`_PretrainLoop` runs both in process and inside every
+data-parallel worker (``repro.distributed.worker``); only its batch
+fetch, gradient exchange and reporter differ.
+
 With telemetry and checkpointing both off the loop is bit-identical to
 the uninstrumented original: no derived metrics are computed, no clocks
 beyond the wall-clock total are read, and no files are touched.
@@ -26,9 +30,10 @@ beyond the wall-clock total are read, and no files are touched.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pathlib
 import time
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +51,7 @@ from ..checkpoint import (
 from ..data.datasets import ForecastingWindows
 from ..data.loader import batch_indices
 from ..data.prefetch import PrefetchLoader
+from ..data.specs import materialize_data_spec, materialize_spec_rows
 from ..data.store import ShardedDataset, resolve_data_source
 from ..nn import profiler
 from ..obs.metrics import enabled as obs_enabled
@@ -55,8 +61,9 @@ from ..utils.training import Timer, format_profile
 from .config import PretrainConfig, TimeDRLConfig
 from .model import TimeDRL
 
-__all__ = ["PretrainResult", "run_pretrain", "pretrain",
-           "iterate_pretrain_batches"]
+__all__ = ["PretrainResult", "run_pretrain", "iterate_pretrain_batches"]
+
+LOSS_KEYS = ("total", "predictive", "contrastive")
 
 
 @dataclass
@@ -79,29 +86,63 @@ class PretrainResult:
         return self.history[-1]["total"] if self.history else float("nan")
 
 
-def _batch_fetcher(data):
-    """Resolve ``data`` to ``(n_windows, fetch(indices) -> (B, T, C))``."""
-    if isinstance(data, ForecastingWindows):
-        return len(data), lambda indices: data.batch(indices)[0]
-    if isinstance(data, ShardedDataset):
-        return len(data), data.batch
-    samples = np.asarray(data)
-    return len(samples), lambda indices: samples[indices]
+class PretrainData:
+    """A resolved pre-training ``data`` argument.
 
+    Accepts a :class:`ForecastingWindows` split, an out-of-core
+    :class:`~repro.data.store.ShardedDataset`, a store directory (or its
+    manifest), a ``repro.data.specs`` spec dict, or a sample array.
+    Exposes ``size`` (windows), ``fetch(global_indices) -> (B, T, C)``,
+    ``source`` (what a telemetry run fingerprints) and ``spec`` (the
+    caller's spec dict, if one was given).
 
-def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
-                             max_batches: int | None = None, skip: int = 0):
-    """Yield raw input batches ``(B, T, C)`` from a
-    :class:`ForecastingWindows` split, an out-of-core
-    :class:`~repro.data.store.ShardedDataset`, or a plain sample array.
-
-    ``skip`` drops the first N batches of the epoch *without fetching
-    them* — the index permutation is still drawn identically from ``rng``,
-    so a resumed epoch sees exactly the batches the interrupted one would
-    have.  Skipped batches count against ``max_batches`` (they were
-    already consumed before the interruption).
+    ``rows=(start, stop)`` promises that only those global rows will be
+    fetched: a ``synthetic_windows`` spec then generates just the blocks
+    overlapping them and ``source`` is ``None``.  :meth:`close` releases
+    a store this object opened; data passed in open stays open.
     """
-    size, fetch = _batch_fetcher(data)
+
+    def __init__(self, data, rows: tuple[int, int] | None = None):
+        self.spec = data if isinstance(data, dict) and "kind" in data else None
+        self._opened = False
+        if (self.spec is not None and rows is not None
+                and self.spec["kind"] == "synthetic_windows"):
+            start, stop = rows
+            local = materialize_spec_rows(self.spec, start, stop)
+            self.source = None
+            self.size = int(self.spec["windows"])
+            self.fetch = lambda indices: local[indices - start]
+            return
+        if self.spec is not None:
+            data = materialize_data_spec(data)
+            self._opened = isinstance(data, ShardedDataset)
+        elif isinstance(data, (str, os.PathLike)):
+            data = resolve_data_source(data)
+            self._opened = True
+        if isinstance(data, ForecastingWindows):
+            self.fetch = lambda indices: data.batch(indices)[0]
+        elif isinstance(data, ShardedDataset):
+            self.fetch = data.batch
+        else:
+            data = np.asarray(data)
+            self.fetch = data.__getitem__
+        self.source = data
+        self.size = len(data)
+
+    def close(self) -> None:
+        if self._opened:
+            self.source.close()
+
+
+def _batches(size: int, fetch, batch_size: int, rng: np.random.Generator,
+             max_batches: int | None = None, skip: int = 0):
+    """Yield ``fetch(indices)`` for each batch of one epoch.
+
+    ``skip`` drops the first N batches *without fetching them*: the index
+    permutation is still drawn identically from ``rng``, so a resumed
+    epoch sees exactly the batches the interrupted one would have.
+    Skipped batches count against ``max_batches``.
+    """
     count = 0
     for indices in batch_indices(size, batch_size, rng):
         if count >= skip:
@@ -109,6 +150,19 @@ def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
         count += 1
         if max_batches is not None and count >= max_batches:
             return
+
+
+def iterate_pretrain_batches(data, batch_size: int, rng: np.random.Generator,
+                             max_batches: int | None = None, skip: int = 0):
+    """Yield raw input batches ``(B, T, C)`` from any ``data`` that
+    :class:`PretrainData` accepts, in the order the training loop sees
+    them (see :func:`_batches` for ``skip``)."""
+    data = PretrainData(data)
+    try:
+        yield from _batches(data.size, data.fetch, batch_size, rng,
+                            max_batches, skip)
+    finally:
+        data.close()
 
 
 def _profiler_alloc_bytes() -> float:
@@ -129,35 +183,158 @@ class _NullContext:
 _NULL_CTX = _NullContext()
 
 
+def local_exchange(losses, x, params) -> dict[str, float]:
+    """The in-process gradient exchange: there is nothing to exchange.
+    The local losses are the step's loss means and the gradients stay
+    where ``backward`` left them."""
+    return {key: float(losses[key].data) for key in LOSS_KEYS}
+
+
+def record_obs_epoch(phase: str, batches: int, seconds: float,
+                     mean_loss: float | None) -> None:
+    """Publish one training epoch into the obs metrics registry.
+
+    Callers gate on ``obs_enabled()`` sampled before the epoch, so the
+    disabled path never reads the epoch clock.
+    """
+    registry = obs_registry()
+    registry.counter("train_steps_total", "Optimizer steps taken",
+                     labels=("phase",)).labels(phase=phase).inc(batches)
+    registry.counter("train_epochs_total", "Epochs completed",
+                     labels=("phase",)).labels(phase=phase).inc()
+    registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
+                       labels=("phase",),
+                       buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
+                                1800, 7200)).labels(phase=phase).observe(seconds)
+    if mean_loss is not None:
+        registry.gauge("train_last_loss",
+                       "Most recent epoch's mean total loss").set(mean_loss)
+
+
+def log_epoch(run, verbose: bool, epoch: int, stats: dict, samples: int,
+              seconds: float, **extra) -> None:
+    """Record one epoch on the telemetry run and the console."""
+    if run.enabled:
+        metrics = {key: stats[key] for key in LOSS_KEYS}
+        metrics["epoch_seconds"] = seconds
+        metrics["samples"] = samples
+        if seconds > 0:
+            metrics["throughput"] = samples / seconds
+        metrics.update(extra)
+        run.log_epoch(epoch, **metrics)
+    if verbose:
+        console_log(f"[pretrain] epoch {epoch}: "
+                    f"total={stats['total']:.4f} "
+                    f"P={stats['predictive']:.4f} "
+                    f"C={stats['contrastive']:.4f}")
+
+
+class _LocalReporter:
+    """In-process reporting: the telemetry run, the obs counters and the
+    console.  Data-parallel workers use a queue reporter instead
+    (``repro.distributed.worker``) with the same members."""
+
+    writes_checkpoints = True
+
+    def __init__(self, run, train_config: PretrainConfig):
+        self.run = run
+        self.verbose = train_config.verbose
+        self.timer = Timer(accumulate=True) if run.enabled else None
+        self.profiling = run.enabled and train_config.profile
+        self.alloc_before = _profiler_alloc_bytes() if self.profiling else 0.0
+        self.obs_on = False
+        self.epoch_started = 0.0
+
+    @contextmanager
+    def epoch(self, index: int):
+        """Scope of one epoch's batch loop."""
+        # Sampled once per epoch: the batch loop must not pay even a
+        # registry lookup per step on the disabled path.
+        self.obs_on = obs_enabled()
+        self.epoch_started = time.perf_counter() if self.obs_on else 0.0
+        with self.run.span("epoch", index=index), (self.timer or _NULL_CTX):
+            yield
+
+    def end_epoch(self, epoch: int, stats: dict, samples: int,
+                  batches: int) -> None:
+        if self.obs_on:
+            record_obs_epoch("pretrain", batches,
+                             time.perf_counter() - self.epoch_started,
+                             stats["total"])
+        extra = {}
+        if self.profiling:
+            alloc_now = _profiler_alloc_bytes()
+            extra["alloc_mb"] = (alloc_now - self.alloc_before) / 1e6
+            self.alloc_before = alloc_now
+        log_epoch(self.run, self.verbose, epoch, stats, samples,
+                  self.timer.last if self.timer else 0.0, **extra)
+
+    def log(self, message: str) -> None:
+        if self.verbose:
+            console_log(f"[pretrain] {message}")
+
+
 class _Rollback(Exception):
     """Internal signal: restore the last checkpoint and continue."""
 
 
 class _PretrainLoop:
-    """The resumable pre-training loop.
+    """The resumable pre-training loop, in process and in every
+    data-parallel worker.
 
     Cursor model: ``(epoch, batch_in_epoch, global_step)`` plus the loader
     RNG state *as of the start of the current epoch*.  ``batch_indices``
     draws one shuffle permutation per epoch from the loader RNG, so
     restoring the epoch-start state and skipping ``batch_in_epoch``
     batches replays the interrupted epoch bit-identically.
+    ``batch_in_epoch`` counts global batches, so a checkpoint taken at
+    one world size resumes bit-identically at any other.
+
+    Where the loop runs is handed in, not branched on:
+
+    * ``fetch(global_indices)`` — the batch; a worker gets only its
+      shard's rows, or ``None`` when it owns none of them;
+    * ``exchange(losses, x, params) -> loss means`` — in process
+      :func:`local_exchange`; in a worker the all-reduce of the
+      ``params``' gradients (``losses`` is ``None`` when ``x`` is);
+    * ``reporter`` — its ``run`` takes per-step telemetry, ``epoch`` /
+      ``end_epoch`` the epoch records, ``log`` console notices, and
+      ``writes_checkpoints`` says whether this loop saves.
+
+    Every step checks in one order: forward → ``on_loss`` → backward →
+    ``on_after_backward`` → exchange → loss check on the exchanged means
+    → clip → gradient check → step.  A worker cannot check its loss
+    before the exchange without a second barrier per step, so the check
+    comes after it everywhere.
     """
 
-    def __init__(self, model, optimizer, data, train_config, rng, run,
-                 history: list[dict[str, float]], manager=None,
-                 recovery=None, hooks=None, extra_meta=None):
-        self.model = model
-        self.optimizer = optimizer
-        self.data = data
+    def __init__(self, model_config: TimeDRLConfig,
+                 train_config: PretrainConfig, size: int, fetch, reporter,
+                 exchange=local_exchange, hooks=None, checkpoint_dir=None,
+                 extra_meta=None):
+        self.model = TimeDRL(model_config)
+        self.model.train()
+        self.params = self.model.parameters()
+        self.optimizer = nn.AdamW(self.params, lr=train_config.learning_rate,
+                                  weight_decay=train_config.weight_decay)
+        self.rng = np.random.default_rng(train_config.seed)
         self.train_config = train_config
-        self.rng = rng
-        self.run = run
-        self.history = history
-        self.manager = manager
-        self.recovery = recovery
+        self.size = size
+        self.fetch = fetch
+        self.reporter = reporter
+        self.run = reporter.run
+        self.exchange = exchange
         self.hooks = hooks
         self.extra_meta = extra_meta
+        self.history: list[dict[str, float]] = []
         ckpt = train_config.checkpoint
+        self.manager = self.recovery = None
+        if ckpt is not None:
+            self.manager = CheckpointManager(checkpoint_dir,
+                                             keep_last=ckpt.keep_last,
+                                             best_metric=ckpt.best_metric,
+                                             best_mode=ckpt.best_mode)
+            self.recovery = RecoveryController(ckpt, run=self.run)
         self.every_n_batches = ckpt.every_n_batches if ckpt else None
         self.every_n_epochs = ckpt.every_n_epochs if ckpt else 1
         # cursor
@@ -167,9 +344,8 @@ class _PretrainLoop:
         self.pending = None       # (sums, batches, samples) restored mid-epoch
         self.epoch_rng_state = None
         self.active_loader = None  # PrefetchLoader of the epoch in flight
-        # telemetry instruments (built in run_all, after any resume)
-        self.meter = None
-        self.epoch_timer = None
+        self.resumed_from_step = None
+        self.meter = None         # per-step telemetry, built in run_all
 
     # -- state transfer -------------------------------------------------
     def apply_state(self, state: TrainingState) -> None:
@@ -185,8 +361,26 @@ class _PretrainLoop:
         else:
             self.pending = None
 
+    def resume(self) -> None:
+        """Adopt the newest valid checkpoint, if there is one."""
+        loaded = self.manager.load_latest()
+        if loaded is None:
+            return
+        state = loaded[0]
+        self.apply_state(state)
+        self.resumed_from_step = state.global_step
+        if self.run.enabled:
+            self.run.emit("checkpoint", action="resumed",
+                          step=state.global_step, epoch=state.epoch,
+                          batch=state.batch_in_epoch)
+        self.reporter.log(f"resuming from step {state.global_step} "
+                          f"(epoch {state.epoch}, "
+                          f"batch {state.batch_in_epoch})")
+
     def _save(self, batch_in_epoch: int, sums, batches: int, samples: int,
               metrics=None, at_epoch_start: bool = False) -> None:
+        if not self.reporter.writes_checkpoints:
+            return
         loader = rng_state(self.rng) if at_epoch_start else self.epoch_rng_state
         state = capture_state(
             self.model, self.optimizer, loader_rng_state=loader,
@@ -220,19 +414,16 @@ class _PretrainLoop:
                           batch=state.batch_in_epoch,
                           lr=float(self.optimizer.lr),
                           recoveries=self.recovery.recoveries)
-        if self.train_config.verbose:
-            console_log(f"[pretrain] rolled back to step {state.global_step} "
-                        f"(epoch {state.epoch}, batch {state.batch_in_epoch}), "
-                        f"lr={self.optimizer.lr:.2e}")
+        self.reporter.log(f"rolled back to step {state.global_step} "
+                          f"(epoch {state.epoch}, batch "
+                          f"{state.batch_in_epoch}), "
+                          f"lr={self.optimizer.lr:.2e}")
 
     # -- driving --------------------------------------------------------
     def run_all(self) -> None:
         cfg = self.train_config
-        telemetry_on = self.run.enabled
-        self.meter = ParamUpdateMeter(self.model.parameters()) if telemetry_on else None
-        self.epoch_timer = Timer(accumulate=True) if telemetry_on else None
-        self._profiling = telemetry_on and cfg.profile
-        self._alloc_before = _profiler_alloc_bytes() if self._profiling else 0.0
+        if self.run.enabled:
+            self.meter = ParamUpdateMeter(self.params)
         if (self.manager is not None and cfg.checkpoint.wants_rollback
                 and self.global_step == 0):
             # Rollback needs a floor to land on even if the very first
@@ -259,10 +450,6 @@ class _PretrainLoop:
     def _run_epoch(self) -> None:
         cfg = self.train_config
         telemetry_on = self.run.enabled
-        # Sampled once per epoch: the batch loop below must not pay even
-        # a registry lookup per step on the disabled path.
-        obs_on = obs_enabled()
-        epoch_started = time.perf_counter() if obs_on else 0.0
         epoch = self.epoch
         skip = self.start_batch
         self.start_batch = 0
@@ -274,80 +461,81 @@ class _PretrainLoop:
             sums, batches, samples = self.pending
             self.pending = None
         else:
-            sums = {"total": 0.0, "predictive": 0.0, "contrastive": 0.0}
+            sums = dict.fromkeys(LOSS_KEYS, 0.0)
             batches = 0
             samples = 0
         batch_in_epoch = skip
 
-        source = iterate_pretrain_batches(self.data, cfg.batch_size, self.rng,
-                                          cfg.max_batches_per_epoch, skip=skip)
+        source = _batches(self.size, self.fetch, cfg.batch_size, self.rng,
+                          cfg.max_batches_per_epoch, skip=skip)
         if cfg.prefetch:
             # Double-buffered: the worker gathers batch k+1 while the
             # step below runs on batch k.  FIFO order keeps the epoch
             # bit-identical to the unprefetched path.
             source = self.active_loader = PrefetchLoader(
                 source, depth=cfg.prefetch_depth)
-        with self.run.span("epoch", index=epoch), (self.epoch_timer or _NULL_CTX):
+        with self.reporter.epoch(epoch):
             for x in source:
                 step = self.global_step
                 self.optimizer.zero_grad()
-                losses = self.model.pretraining_losses(x)
-                if self.hooks is not None:
-                    self.hooks.on_loss(losses, epoch, batch_in_epoch, step)
+                # Never clear ``losses`` before the forward: the previous
+                # step's graph must stay alive through it, or its pages
+                # are freed, trimmed by the allocator and faulted in
+                # again every step.
+                if x is None:
+                    losses = None
+                else:
+                    losses = self.model.pretraining_losses(x)
+                    if self.hooks is not None:
+                        self.hooks.on_loss(losses, epoch, batch_in_epoch, step)
+                    losses["total"].backward()
+                    if self.hooks is not None:
+                        self.hooks.on_after_backward(self.model, epoch,
+                                                     batch_in_epoch, step)
+                means = self.exchange(losses, x, self.params)
+                grad_norm = action = None
                 if self.recovery is not None:
                     action = self.recovery.check_loss(
-                        float(losses["total"].data), epoch, batch_in_epoch,
-                        step)
-                    if action == "skip_batch":
-                        batch_in_epoch += 1
-                        self.global_step += 1
-                        continue
-                    if action == "rollback":
-                        raise _Rollback()
-                losses["total"].backward()
-                if self.hooks is not None:
-                    self.hooks.on_after_backward(self.model, epoch,
-                                                 batch_in_epoch, step)
-                grad_norm = None
-                if cfg.grad_clip:
-                    grad_norm = nn.clip_grad_norm(self.model.parameters(),
-                                                  cfg.grad_clip)
-                if self.recovery is not None:
-                    norm_value = (grad_norm if grad_norm is not None
-                                  else grad_global_norm(self.model.parameters()))
-                    action = self.recovery.check_grad(float(norm_value), epoch,
-                                                      batch_in_epoch, step)
-                    if action == "skip_batch":
-                        batch_in_epoch += 1
-                        self.global_step += 1
-                        continue
-                    if action == "rollback":
-                        raise _Rollback()
+                        means["total"], epoch, batch_in_epoch, step)
+                if action is None:
+                    if cfg.grad_clip:
+                        grad_norm = nn.clip_grad_norm(self.params,
+                                                      cfg.grad_clip)
+                    if self.recovery is not None:
+                        norm_value = (grad_norm if grad_norm is not None
+                                      else grad_global_norm(self.params))
+                        action = self.recovery.check_grad(
+                            float(norm_value), epoch, batch_in_epoch, step)
+                if action == "rollback":
+                    raise _Rollback()
+                if action == "skip_batch":
+                    batch_in_epoch += 1
+                    self.global_step += 1
+                    continue
                 log_step = (telemetry_on and cfg.log_every
                             and step % cfg.log_every == 0)
                 if log_step:
                     if grad_norm is None:
-                        grad_norm = grad_global_norm(self.model.parameters())
+                        grad_norm = grad_global_norm(self.params)
                     self.meter.snapshot()
                 self.optimizer.step()
                 for key in sums:
-                    sums[key] += float(losses[key].data)
+                    sums[key] += means[key]
                 if log_step:
-                    self.run.log_step(step,
-                                      total=float(losses["total"].data),
-                                      predictive=float(losses["predictive"].data),
-                                      contrastive=float(losses["contrastive"].data),
-                                      grad_norm=grad_norm,
+                    self.run.log_step(step, **means, grad_norm=grad_norm,
                                       update_ratio=self.meter.ratio())
                 batches += 1
-                samples += len(x)
+                # Global rows of this batch: a worker's x holds only its
+                # shard's part of them.
+                samples += min(cfg.batch_size,
+                               self.size - batch_in_epoch * cfg.batch_size)
                 batch_in_epoch += 1
                 self.global_step += 1
                 if (self.manager is not None and self.every_n_batches
                         and batch_in_epoch % self.every_n_batches == 0):
-                    means = {key: value / batches for key, value in sums.items()}
                     self._save(batch_in_epoch, sums, batches, samples,
-                               metrics=means)
+                               metrics={key: value / batches
+                                        for key, value in sums.items()})
                 if self.hooks is not None:
                     self.hooks.on_batch_end(epoch, batch_in_epoch - 1, step)
 
@@ -357,38 +545,7 @@ class _PretrainLoop:
         epoch_stats = {key: value / batches for key, value in sums.items()}
         epoch_stats["epoch"] = float(epoch)
         self.history.append(epoch_stats)
-        if obs_on:
-            registry = obs_registry()
-            registry.counter("train_steps_total", "Optimizer steps taken",
-                             labels=("phase",)).labels(
-                phase="pretrain").inc(batches)
-            registry.counter("train_epochs_total", "Epochs completed",
-                             labels=("phase",)).labels(phase="pretrain").inc()
-            registry.histogram("train_epoch_seconds", "Wall-clock per epoch",
-                               labels=("phase",),
-                               buckets=(0.01, 0.1, 0.5, 1, 5, 30, 60, 300,
-                                        1800, 7200)).labels(
-                phase="pretrain").observe(time.perf_counter() - epoch_started)
-            registry.gauge("train_last_loss",
-                           "Most recent epoch's mean total loss").set(
-                epoch_stats["total"])
-        if telemetry_on:
-            seconds = self.epoch_timer.last
-            epoch_metrics = {key: epoch_stats[key] for key in sums}
-            epoch_metrics["epoch_seconds"] = seconds
-            epoch_metrics["samples"] = samples
-            if seconds > 0:
-                epoch_metrics["throughput"] = samples / seconds
-            if self._profiling:
-                alloc_now = _profiler_alloc_bytes()
-                epoch_metrics["alloc_mb"] = (alloc_now - self._alloc_before) / 1e6
-                self._alloc_before = alloc_now
-            self.run.log_epoch(epoch, **epoch_metrics)
-        if cfg.verbose:
-            console_log(f"[pretrain] epoch {epoch}: "
-                        f"total={epoch_stats['total']:.4f} "
-                        f"P={epoch_stats['predictive']:.4f} "
-                        f"C={epoch_stats['contrastive']:.4f}")
+        self.reporter.end_epoch(epoch, epoch_stats, samples, batches)
         if self.recovery is not None:
             action = self.recovery.check_epoch(epoch_stats["total"], epoch)
             if action == "rollback":
@@ -434,20 +591,74 @@ def _resolve_checkpoint_dir(ckpt_cfg, train_config, run) -> pathlib.Path:
     return chosen
 
 
-def _checkpoint_extra_meta(model_config, train_config, ckpt_cfg, data) -> dict:
-    """Self-description stored in every checkpoint so ``repro runs resume``
-    can rebuild the model/config/data without the original script.
+def setup_run(model_config: TimeDRLConfig, train_config: PretrainConfig,
+              run, source, spec=None):
+    """The telemetry run, checkpoint directory and checkpoint extra-meta
+    of one pre-training call, in process or data-parallel.
 
-    When training from an on-disk store and no explicit spec was given,
-    the store's own ``kind='store'`` spec (path + generating spec from
-    the manifest) rides along, so out-of-core runs resume too.
+    ``source`` is the resolved data the run fingerprints; ``spec`` the
+    caller's data spec dict, if any.  Returns ``(run, owns_run,
+    checkpoint_dir, extra_meta)``: a run is opened (and owned) only when
+    none was passed and ``train_config.telemetry`` is on.  The extra-meta
+    lets ``repro runs resume`` rebuild the model, config and data without
+    the original script; its ``data_spec`` is the configured one, else
+    the store's own ``kind='store'`` spec, else ``spec``.
     """
+    owns_run = run is None and train_config.telemetry
+    if owns_run:
+        run = Run.create(root=train_config.run_root,
+                         name=train_config.run_name,
+                         model_config=model_config,
+                         train_config=train_config,
+                         seed=train_config.seed, data=source,
+                         log_to_console=train_config.verbose)
+    elif run is None:
+        run = NULL_RUN
+    ckpt_cfg = train_config.checkpoint
+    if ckpt_cfg is None:
+        return run, owns_run, None, None
     data_spec = ckpt_cfg.data_spec
-    if data_spec is None and isinstance(data, ShardedDataset):
-        data_spec = data.store_spec()
-    return {"model_config": dataclasses.asdict(model_config),
-            "train_config": dataclasses.asdict(train_config),
-            "data_spec": data_spec}
+    if data_spec is None and isinstance(source, ShardedDataset):
+        data_spec = source.store_spec()
+    extra_meta = {"model_config": dataclasses.asdict(model_config),
+                  "train_config": dataclasses.asdict(train_config),
+                  "data_spec": data_spec if data_spec is not None else spec}
+    return (run, owns_run, _resolve_checkpoint_dir(ckpt_cfg, train_config, run),
+            extra_meta)
+
+
+@contextmanager
+def run_scope(run, owns_run: bool):
+    """Close an owned run as failed (a recovery policy aborted) or
+    crashed (anything else) when training raises."""
+    try:
+        yield
+    except TrainingAborted as error:
+        # Deliberate stop by a recovery policy: a controlled failure, not
+        # a crash.
+        if owns_run:
+            run.emit("health", check="aborted", phase="run",
+                     error=type(error).__name__, detail=str(error))
+            run.finish("failed")
+        raise
+    except BaseException as error:
+        if owns_run:
+            run.emit("health", check="exception", phase="run",
+                     error=type(error).__name__, detail=str(error))
+            run.record_crash(error)
+        raise
+
+
+def finish_run(run, owns_run: bool, history, elapsed: float) -> None:
+    """Summarise a completed pre-training run and close it if owned."""
+    if run.enabled and history:
+        run.log_summary(final_total=history[-1]["total"],
+                        final_predictive=history[-1]["predictive"],
+                        final_contrastive=history[-1]["contrastive"],
+                        epochs=len(history),
+                        wall_clock_seconds=elapsed)
+    if owns_run:
+        run.finish("completed")
 
 
 def run_pretrain(model_config: TimeDRLConfig, data,
@@ -494,87 +705,26 @@ def run_pretrain(model_config: TimeDRLConfig, data,
                                           train_config=train_config,
                                           distributed=dist, run=run,
                                           hooks=hooks)
-    if isinstance(data, dict) and "kind" in data:
-        from ..data.specs import materialize_data_spec
-
-        data = materialize_data_spec(data)
-    data = resolve_data_source(data)
-    owns_run = False
-    if run is None:
-        if train_config.telemetry:
-            run = Run.create(root=train_config.run_root,
-                             name=train_config.run_name,
-                             model_config=model_config,
-                             train_config=train_config,
-                             seed=train_config.seed, data=data,
-                             log_to_console=train_config.verbose)
-            owns_run = True
-        else:
-            run = NULL_RUN
-
-    model = TimeDRL(model_config)
-    model.train()
-    optimizer = nn.AdamW(model.parameters(), lr=train_config.learning_rate,
-                         weight_decay=train_config.weight_decay)
-    rng = np.random.default_rng(train_config.seed)
-    history: list[dict[str, float]] = []
-
-    ckpt_cfg = train_config.checkpoint
-    manager = recovery = resume_state = checkpoint_dir = None
-    if ckpt_cfg is not None:
-        checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config, run)
-        manager = CheckpointManager(checkpoint_dir,
-                                    keep_last=ckpt_cfg.keep_last,
-                                    best_metric=ckpt_cfg.best_metric,
-                                    best_mode=ckpt_cfg.best_mode)
-        recovery = RecoveryController(ckpt_cfg, run=run)
-        if ckpt_cfg.resume:
-            loaded = manager.load_latest()
-            if loaded is not None:
-                resume_state = loaded[0]
-
-    if train_config.profile:
-        profiler.enable()
-
-    loop = _PretrainLoop(model, optimizer, data, train_config, rng, run,
-                         history, manager=manager, recovery=recovery,
-                         hooks=hooks,
-                         extra_meta=(_checkpoint_extra_meta(
-                             model_config, train_config, ckpt_cfg, data)
-                             if ckpt_cfg is not None else None))
-    resumed_from_step = None
-    if resume_state is not None:
-        loop.apply_state(resume_state)
-        resumed_from_step = resume_state.global_step
-        if run.enabled:
-            run.emit("checkpoint", action="resumed",
-                     step=resumed_from_step, epoch=resume_state.epoch,
-                     batch=resume_state.batch_in_epoch)
-        if train_config.verbose:
-            console_log(f"[pretrain] resuming from step {resumed_from_step} "
-                        f"(epoch {resume_state.epoch}, "
-                        f"batch {resume_state.batch_in_epoch})")
-
-    start = time.perf_counter()
+    data = PretrainData(data)
     try:
-        with run.span("pretrain", epochs=train_config.epochs,
-                      batch_size=train_config.batch_size):
+        run, owns_run, checkpoint_dir, extra_meta = setup_run(
+            model_config, train_config, run, data.source, data.spec)
+        if train_config.profile:
+            profiler.enable()
+        loop = _PretrainLoop(model_config, train_config, data.size,
+                             data.fetch, _LocalReporter(run, train_config),
+                             hooks=hooks, checkpoint_dir=checkpoint_dir,
+                             extra_meta=extra_meta)
+        if loop.manager is not None and train_config.checkpoint.resume:
+            loop.resume()
+        start = time.perf_counter()
+        with run_scope(run, owns_run), run.span(
+                "pretrain", epochs=train_config.epochs,
+                batch_size=train_config.batch_size):
             loop.run_all()
-    except TrainingAborted as error:
-        # Deliberate stop by a recovery policy: a controlled failure, not
-        # a crash.
-        if owns_run:
-            run.emit("health", check="aborted", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.finish("failed")
-        raise
-    except BaseException as error:
-        if owns_run:
-            run.emit("health", check="exception", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.record_crash(error)
-        raise
-    elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+    finally:
+        data.close()
 
     profile = None
     if train_config.profile:
@@ -583,41 +733,13 @@ def run_pretrain(model_config: TimeDRLConfig, data,
         if train_config.verbose:
             console_log("[pretrain] op profile:")
             console_log(format_profile(profile, limit=20))
-    if run.enabled and history:
-        run.log_summary(final_total=history[-1]["total"],
-                        final_predictive=history[-1]["predictive"],
-                        final_contrastive=history[-1]["contrastive"],
-                        epochs=len(history),
-                        wall_clock_seconds=elapsed)
-    if owns_run:
-        run.finish("completed")
-    model.eval()
-    return PretrainResult(model=model, history=history,
+    finish_run(run, owns_run, loop.history, elapsed)
+    loop.model.eval()
+    return PretrainResult(model=loop.model, history=loop.history,
                           wall_clock_seconds=elapsed,
                           profile=profile, run_id=run.run_id,
                           run_dir=(str(run.directory)
                                    if run.directory is not None else None),
                           checkpoint_dir=(str(checkpoint_dir)
                                           if checkpoint_dir is not None else None),
-                          resumed_from_step=resumed_from_step)
-
-
-def pretrain(model_config: TimeDRLConfig, data,
-             train_config: PretrainConfig | None = None,
-             run=None, hooks=None) -> PretrainResult:
-    """Deprecated alias for the ``repro.train`` facade.
-
-    Delegates to :meth:`repro.train.TrainSession.pretrain` with an
-    options object wrapping the same arguments — bit-identical results
-    (locked by ``tests/train/test_session.py``).  Use the facade, or
-    :func:`run_pretrain` for the bare loop.
-    """
-    warnings.warn(
-        "repro.core.pretrain() is deprecated; use "
-        "repro.train.TrainSession.pretrain() (or repro.train.pretrain)",
-        DeprecationWarning, stacklevel=2)
-    from ..train import TrainOptions, TrainSession
-
-    session = TrainSession(model_config)
-    return session.pretrain(data, TrainOptions(pretrain=train_config,
-                                               run=run, hooks=hooks))
+                          resumed_from_step=loop.resumed_from_step)

@@ -34,16 +34,21 @@ import multiprocessing
 import queue as queue_module
 import time
 
-import numpy as np
-
 from ..checkpoint import TrainingAborted
 from ..core.config import PretrainConfig, TimeDRLConfig
 from ..core.model import TimeDRL
-from ..data.datasets import ForecastingWindows
-from ..data.store import ShardedDataset, resolve_data_source
+from ..core.pretrain import (
+    PretrainData,
+    PretrainResult,
+    finish_run,
+    log_epoch,
+    run_scope,
+    setup_run,
+)
+from ..data.store import ShardedDataset
 from ..obs.metrics import enabled as obs_enabled
 from ..obs.metrics import get_registry as obs_registry
-from ..telemetry import NULL_RUN, Run, console_log
+from ..telemetry import console_log
 from .config import DistributedConfig
 from .reduce import SharedAllReduce
 from .sharding import shard_bounds
@@ -55,34 +60,23 @@ _POLL_SECONDS = 0.05
 _JOIN_TIMEOUT = 10.0
 
 
-def _resolve_data_token(data) -> tuple[object, int]:
-    """Resolve the ``data`` argument to ``(picklable token, total windows)``.
+def _resolve_data_token(data):
+    """Resolve ``data`` to ``(token, data)``: the picklable token shipped to
+    every worker and the resolved :class:`~repro.core.pretrain.PretrainData`.
 
-    Spec dicts stay spec dicts (workers materialize only their shard's
-    generation blocks); stores travel as their ``kind='store'`` spec so
-    workers re-open the memory maps themselves; in-memory arrays and
-    window views travel by value (inherited on fork, pickled on spawn).
+    ``synthetic_windows`` specs stay specs and are not generated here
+    (workers materialize only their shard's blocks), so the run records
+    no dataset fingerprint for them; stores travel as their
+    ``kind='store'`` spec so workers re-open the memory maps themselves;
+    in-memory arrays and window views travel by value (inherited on
+    fork, pickled on spawn).
     """
-    from ..data.specs import materialize_data_spec
-
-    if isinstance(data, dict) and "kind" in data:
-        kind = data["kind"]
-        if kind == "synthetic_windows":
-            return data, int(data["windows"])
-        if kind == "store":
-            dataset = resolve_data_source(data["path"])
-            try:
-                return data, len(dataset)
-            finally:
-                dataset.close()
-        data = materialize_data_spec(data)
-    data = resolve_data_source(data)
-    if isinstance(data, ShardedDataset):
-        return data.store_spec(), len(data)
-    if isinstance(data, ForecastingWindows):
-        return data, len(data)
-    samples = np.asarray(data)
-    return samples, len(samples)
+    data = PretrainData(data, rows=(0, 0))  # the coordinator fetches no rows
+    if data.source is None:
+        return data.spec, data
+    if isinstance(data.source, ShardedDataset):
+        return data.source.store_spec(), data
+    return data.source, data
 
 
 def _rank_hooks(hooks, rank: int):
@@ -140,44 +134,22 @@ def pretrain_data_parallel(model_config: TimeDRLConfig, data,
     a single ``TrainingHooks`` (applied to rank 0) or a ``{rank: hooks}``
     dict for fault-injection on specific ranks.
     """
-    from ..core.pretrain import (
-        PretrainResult,
-        _checkpoint_extra_meta,
-        _resolve_checkpoint_dir,
-    )
-
     train_config = train_config or PretrainConfig()
     dist = distributed or DistributedConfig()
-    token, total = _resolve_data_token(data)
-
-    owns_run = False
-    if run is None:
-        if train_config.telemetry:
-            run = Run.create(root=train_config.run_root,
-                             name=train_config.run_name,
-                             model_config=model_config,
-                             train_config=train_config,
-                             seed=train_config.seed,
-                             log_to_console=train_config.verbose)
-            owns_run = True
-        else:
-            run = NULL_RUN
-
-    ckpt_cfg = train_config.checkpoint
-    checkpoint_dir = extra_meta = None
-    if ckpt_cfg is not None:
-        checkpoint_dir = _resolve_checkpoint_dir(ckpt_cfg, train_config, run)
-        extra_meta = _checkpoint_extra_meta(model_config, train_config,
-                                            ckpt_cfg, data)
-        if extra_meta["data_spec"] is None and isinstance(token, dict):
-            extra_meta["data_spec"] = token
+    token, data = _resolve_data_token(data)
+    try:
+        run, owns_run, checkpoint_dir, extra_meta = setup_run(
+            model_config, train_config, run, data.source, data.spec)
+    finally:
+        data.close()
+    if extra_meta is not None:
         extra_meta["distributed"] = dataclasses.asdict(dist)
 
     n_params = sum(p.data.size for p in TimeDRL(model_config).parameters())
     ctx = multiprocessing.get_context(dist.start_method)
     heartbeats = ctx.RawArray("d", dist.world_size)
     messages = ctx.Queue()
-    bounds = shard_bounds(total, dist.world_size)
+    bounds = shard_bounds(data.size, dist.world_size)
 
     obs_on = obs_enabled()
     if obs_on:
@@ -185,29 +157,27 @@ def pretrain_data_parallel(model_config: TimeDRLConfig, data,
                              "Workers in the data-parallel group").set(
             dist.world_size)
 
-    def make_tasks(resume: bool, incarnation: int) -> list[WorkerTask]:
-        return [WorkerTask(rank=rank, world_size=dist.world_size,
-                           model_config=model_config,
-                           train_config=train_config, dist_config=dist,
-                           data_token=token, shard_start=lo, shard_stop=hi,
-                           total_windows=total,
+    def make_tasks(resume: bool) -> list[WorkerTask]:
+        return [WorkerTask(rank=rank, model_config=model_config,
+                           train_config=train_config, data_token=token,
+                           shard_start=lo, shard_stop=hi,
                            checkpoint_dir=(str(checkpoint_dir)
                                            if checkpoint_dir else None),
                            extra_meta=extra_meta, resume=resume,
-                           hooks=_rank_hooks(hooks, rank),
-                           incarnation=incarnation)
+                           hooks=_rank_hooks(hooks, rank))
                 for rank, (lo, hi) in enumerate(bounds)]
 
     start = time.perf_counter()
     restarts = 0
     result_payload = None
     try:
-        with run.span("pretrain", epochs=train_config.epochs,
-                      batch_size=train_config.batch_size,
-                      world_size=dist.world_size):
+        with run_scope(run, owns_run), run.span(
+                "pretrain", epochs=train_config.epochs,
+                batch_size=train_config.batch_size,
+                world_size=dist.world_size):
             incarnation = 0
             while True:
-                tasks = make_tasks(resume=(incarnation > 0), incarnation=incarnation)
+                tasks = make_tasks(resume=incarnation > 0)
                 # A fresh reducer per incarnation: a worker killed while
                 # parked at a barrier leaves a stale waiter count behind,
                 # which would desync (and hang) a group that inherited it.
@@ -250,18 +220,6 @@ def pretrain_data_parallel(model_config: TimeDRLConfig, data,
                     console_log(f"[distributed] {outcome.detail}; restarting "
                                 f"group (attempt {restarts}/"
                                 f"{dist.max_restarts})")
-    except TrainingAborted as error:
-        if owns_run:
-            run.emit("health", check="aborted", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.finish("failed")
-        raise
-    except BaseException as error:
-        if owns_run:
-            run.emit("health", check="exception", phase="run",
-                     error=type(error).__name__, detail=str(error))
-            run.record_crash(error)
-        raise
     finally:
         messages.close()
         messages.join_thread()
@@ -275,14 +233,7 @@ def pretrain_data_parallel(model_config: TimeDRLConfig, data,
         run.emit("worker", action="finished", world_size=dist.world_size,
                  restarts=restarts,
                  global_step=result_payload["global_step"])
-        if history:
-            run.log_summary(final_total=history[-1]["total"],
-                            final_predictive=history[-1]["predictive"],
-                            final_contrastive=history[-1]["contrastive"],
-                            epochs=len(history),
-                            wall_clock_seconds=elapsed)
-    if owns_run:
-        run.finish("completed")
+    finish_run(run, owns_run, history, elapsed)
     return PretrainResult(
         model=model, history=history, wall_clock_seconds=elapsed,
         profile=None, run_id=run.run_id,
@@ -304,20 +255,8 @@ def _handle_message(message, run, train_config, obs_on) -> dict | None:
     """Process one worker message; returns the payload for terminal ones."""
     kind = message["type"]
     if kind == "epoch":
-        stats = message["stats"]
-        metrics = {key: stats[key]
-                   for key in ("total", "predictive", "contrastive")}
-        metrics["epoch_seconds"] = message["seconds"]
-        metrics["samples"] = message["samples"]
-        if message["seconds"] > 0:
-            metrics["throughput"] = message["samples"] / message["seconds"]
-        if run.enabled:
-            run.log_epoch(message["epoch"], **metrics)
-        if train_config.verbose:
-            console_log(f"[pretrain] epoch {message['epoch']}: "
-                        f"total={stats['total']:.4f} "
-                        f"P={stats['predictive']:.4f} "
-                        f"C={stats['contrastive']:.4f}")
+        log_epoch(run, train_config.verbose, message["epoch"],
+                  message["stats"], message["samples"], message["seconds"])
         return None
     if kind == "epoch_obs":
         if obs_on:

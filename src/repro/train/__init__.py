@@ -2,9 +2,8 @@
 
 :class:`TrainSession` + :class:`TrainOptions` replace the sprawl of
 per-driver kwargs; the module-level convenience functions below are thin
-session wrappers for one-shot calls.  The OLD free functions
-(``repro.core.pretrain`` and friends) are deprecated shims that delegate
-here — see ``docs/training.md`` for the migration table.
+session wrappers for one-shot calls.  The functions underneath are
+``repro.core.run_pretrain``, ``run_finetune_*`` and ``run_transfer``.
 """
 
 from __future__ import annotations

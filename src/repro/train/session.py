@@ -15,11 +15,9 @@ across phases::
                                            checkpoint=True, distributed=4))
     result = session.finetune(forecasting_data)   # reuses the pretrained model
 
-The old free functions (``repro.core.pretrain``,
-``fine_tune_forecasting``, ``fine_tune_classification``,
-``transfer_forecasting``) still work but emit ``DeprecationWarning`` and
-delegate here; ``tests/train/test_session.py`` locks the delegation to be
-bit-identical.  See ``docs/training.md`` for the migration table.
+The functions underneath are ``repro.core.run_pretrain``,
+``run_finetune_forecasting``, ``run_finetune_classification`` and
+``run_transfer``.  See ``docs/training.md``.
 """
 
 from __future__ import annotations
@@ -49,8 +47,8 @@ class TrainOptions:
 
     Every field defaults to "no opinion" (``None``): an options object
     built with only ``pretrain=some_config`` resolves to *exactly* that
-    config object, unchanged — which is what makes the deprecated
-    free-function shims bit-identical to the facade.
+    config object, unchanged — so the facade is bit-identical to calling
+    ``run_pretrain`` with that config.
 
     Precedence for the pre-training config, highest first:
 
@@ -121,7 +119,7 @@ class TrainOptions:
     def resolved_runtime(self) -> RuntimeOptions | None:
         """The fine-tuning counterpart: a ``RuntimeOptions`` bundle, or
         ``None`` when nothing runtime-shaped was configured (so the task
-        driver's own legacy kwargs stay authoritative)."""
+        function's own kwargs stay authoritative)."""
         if self.runtime is not None:
             runtime = (RuntimeOptions(**self.runtime)
                        if isinstance(self.runtime, dict) else self.runtime)

@@ -1,12 +1,12 @@
-"""No internal caller may use the deprecated training entry points.
+"""No caller may use the removed or deprecated training entry points.
 
-The free functions ``pretrain`` / ``fine_tune_forecasting`` /
-``fine_tune_classification`` / ``transfer_forecasting`` survive only as
-:class:`DeprecationWarning` shims for external users.  Everything under
-``src/repro`` must go through :class:`repro.train.TrainSession` (or the
-non-deprecated ``run_*`` internals).  This test walks the package AST
-and fails if a module imports one of the deprecated names from
-``repro.core``.
+The free functions ``repro.core.pretrain`` / ``fine_tune_forecasting`` /
+``fine_tune_classification`` / ``transfer_forecasting`` are gone; callers
+use the ``run_*`` functions or :class:`repro.train.TrainSession`.  This
+test walks the AST of the package and of ``examples/`` and fails if a
+module imports one of those names from ``repro.core``.  The examples
+must also not call the deprecated ``TimeDRL`` embedding accessors
+(``embed``, ``timestamp_embeddings``, ``instance_embeddings``).
 """
 
 from __future__ import annotations
@@ -23,15 +23,10 @@ DEPRECATED = {
     "transfer_forecasting",
 }
 
-# The modules that define or re-export the shims themselves.
-ALLOWED = {
-    "core/__init__.py",
-    "core/pretrain.py",
-    "core/finetune.py",
-    "core/transfer.py",
-}
+DEPRECATED_ACCESSORS = {"embed", "timestamp_embeddings", "instance_embeddings"}
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
+EXAMPLES_ROOT = SRC_ROOT.parent.parent / "examples"
 
 
 def _deprecated_imports(tree: ast.Module) -> list[str]:
@@ -51,22 +46,49 @@ def _deprecated_imports(tree: ast.Module) -> list[str]:
     return hits
 
 
-def test_src_tree_does_not_import_deprecated_names():
+def _accessor_calls(tree: ast.Module) -> list[str]:
+    return [f"line {node.lineno}: .{node.func.attr}()"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in DEPRECATED_ACCESSORS]
+
+
+def _offenders(root: pathlib.Path, check) -> dict[str, list[str]]:
     offenders = {}
-    for path in sorted(SRC_ROOT.rglob("*.py")):
-        rel = path.relative_to(SRC_ROOT).as_posix()
-        if rel in ALLOWED:
-            continue
+    for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        hits = _deprecated_imports(tree)
+        hits = check(tree)
         if hits:
-            offenders[rel] = hits
+            offenders[path.relative_to(root).as_posix()] = hits
+    return offenders
+
+
+def test_src_tree_does_not_import_deprecated_names():
+    offenders = _offenders(SRC_ROOT, _deprecated_imports)
     assert not offenders, (
-        "deprecated training entry points are still imported internally; "
-        f"migrate these to repro.train.TrainSession: {offenders}")
+        "removed training entry points are still imported; use the run_* "
+        f"functions or repro.train.TrainSession: {offenders}")
+
+
+def test_examples_do_not_import_deprecated_names():
+    assert EXAMPLES_ROOT.is_dir()
+    offenders = _offenders(EXAMPLES_ROOT, _deprecated_imports)
+    assert not offenders, (
+        "examples import removed training entry points; use the run_* "
+        f"functions or repro.train.TrainSession: {offenders}")
+
+
+def test_examples_do_not_call_deprecated_accessors():
+    offenders = _offenders(EXAMPLES_ROOT, _accessor_calls)
+    assert not offenders, (
+        f"examples call deprecated embedding accessors; use encode(): "
+        f"{offenders}")
 
 
 def test_guard_actually_detects_offenders():
     tree = ast.parse("from repro.core import pretrain\n"
-                     "from ..core.finetune import fine_tune_forecasting\n")
+                     "from ..core.finetune import fine_tune_forecasting\n"
+                     "model.embed(x)\n")
     assert len(_deprecated_imports(tree)) == 2
+    assert len(_accessor_calls(tree)) == 1
