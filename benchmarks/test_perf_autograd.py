@@ -1,4 +1,4 @@
-"""Autograd hot-path micro-benchmark (fused kernels vs the seed engine).
+"""Autograd hot-path micro-benchmark (encoder-layer kernel vs the seed engine).
 
 Unlike the table/figure benchmarks this one times the *engine*, not an
 experiment: encoder forward+backward, inference (``no_grad``) forward, and
@@ -10,10 +10,12 @@ sets:
 
 * ``seed``     — the pre-fusion engine, measured once at the seed commit
   and recorded here as the committed before/after baseline;
-* ``current``  — this checkout with fused dispatch on (the default);
-* ``unfused``  — this checkout with fused dispatch off, isolating how much
-  of the win comes from the fused kernels vs engine-level changes
-  (gradient-buffer reuse, fast node construction, dtype fixes).
+* ``current``  — this checkout: every Transformer layer runs the
+  encoder-layer kernel pair as one graph node (the default);
+* ``unfused``  — this checkout with every layer running its
+  ``reference_forward`` op graph, isolating how much of the win comes
+  from the kernel vs engine-level changes (gradient-buffer reuse, fast
+  node construction, dtype fixes).
 
 The in-run assertion compares ``current`` against ``unfused`` — a
 same-machine, same-process comparison that stays meaningful on any
@@ -22,16 +24,18 @@ machine and serve as the PR's documented speed-up (>=1.5x on the encoder
 step).
 """
 
+import contextlib
 import json
 import pathlib
 import time
+from unittest import mock
 
 import numpy as np
 
 from repro.core.config import TimeDRLConfig
 from repro.core.encoder import TimeDRLEncoder
 from repro.core.model import TimeDRL
-from repro.nn import Tensor, no_grad, use_fused
+from repro.nn import Tensor, TransformerEncoderLayer, no_grad
 from repro.utils.training import set_global_seed
 
 from conftest import run_once
@@ -53,8 +57,17 @@ WARMUP = 3
 REPS = 25
 
 
+def use_kernel(enabled: bool):
+    """Run every Transformer layer through the kernel pair (``True``) or
+    through its reference op graph (``False``)."""
+    if enabled:
+        return contextlib.nullcontext()
+    return mock.patch.object(TransformerEncoderLayer, "forward",
+                             TransformerEncoderLayer.reference_forward)
+
+
 def _measure_suite() -> tuple[dict[str, float], dict[str, float]]:
-    """Time the three hot paths under fused and reference dispatch.
+    """Time the three hot paths with the kernel and the reference graph.
 
     Fused/unfused samples are interleaved (paired per rep) so slow drift in
     machine load cancels out of the comparison.
@@ -92,18 +105,18 @@ def _measure_suite() -> tuple[dict[str, float], dict[str, float]]:
     current, unfused = {}, {}
     for key, func in cases.items():
         best_fused, best_ref = np.inf, np.inf
-        with use_fused(True):
+        with use_kernel(True):
             for __ in range(WARMUP):
                 func()
-        with use_fused(False):
+        with use_kernel(False):
             for __ in range(WARMUP):
                 func()
         for __ in range(REPS):
-            with use_fused(True):
+            with use_kernel(True):
                 start = time.perf_counter()
                 func()
                 best_fused = min(best_fused, time.perf_counter() - start)
-            with use_fused(False):
+            with use_kernel(False):
                 start = time.perf_counter()
                 func()
                 best_ref = min(best_ref, time.perf_counter() - start)
@@ -118,7 +131,7 @@ def test_perf_autograd(benchmark):
     report = {
         "workload": dict(WORKLOAD),
         "timer": {"warmup": WARMUP, "reps": REPS, "statistic": "min",
-                  "pairing": "fused/unfused interleaved per rep"},
+                  "pairing": "kernel/reference interleaved per rep"},
         "seed": dict(SEED_BASELINE),
         "current": current,
         "unfused": unfused,
@@ -142,7 +155,7 @@ def test_perf_autograd(benchmark):
 
     for key, value in current.items():
         assert np.isfinite(value) and value > 0, key
-    # Same-process guard: fused dispatch must beat the reference
-    # composition on the gradient paths (small slack absorbs timer noise).
+    # Same-process guard: the kernel must beat the reference composition
+    # on the gradient paths (small slack absorbs timer noise).
     assert current["encoder_fwd_bwd_min_s"] < unfused["encoder_fwd_bwd_min_s"] * 1.05
     assert current["pretrain_step_min_s"] < unfused["pretrain_step_min_s"] * 1.05

@@ -1,7 +1,7 @@
-"""Compiled inference-path benchmark (``repro.compile`` vs the fused path).
+"""Compiled inference-path benchmark (``repro.compile`` vs ``TimeDRL.encode``).
 
-Times the packed no-grad forward against the current fused autograd
-``encode`` at the engine reference workload (batch 8, T=128, C=7 — the
+Times the packed no-grad forward against the model's own ``encode``
+(the same encoder-layer kernel, without packing) at the engine reference workload (batch 8, T=128, C=7 — the
 same geometry as ``test_perf_autograd.py``), with the same paired
 interleaved min-of-reps methodology, and writes a ``compiled`` section
 into both ``BENCH_autograd.json`` (encode latency / speedups) and
@@ -30,7 +30,6 @@ import numpy as np
 from repro.compile import CompileOptions, DistillConfig, compile_model, run_distillation
 from repro.core.config import TimeDRLConfig
 from repro.core.model import TimeDRL
-from repro.nn import use_fused
 from repro.utils.training import set_global_seed
 
 from conftest import run_once
@@ -77,17 +76,15 @@ def _measure_encode() -> dict:
     cases = {"fused_nograd": lambda: model.encode(x)}
     cases.update({name: (lambda c=c: c.encode(x))
                   for name, c in compiled.items()})
-    with use_fused(True):
-        for func in cases.values():
-            for __ in range(WARMUP):
-                func()
-        best = {name: np.inf for name in cases}
-        for __ in range(REPS):
-            for name, func in cases.items():
-                start = time.perf_counter()
-                func()
-                best[name] = min(best[name],
-                                 time.perf_counter() - start)
+    for func in cases.values():
+        for __ in range(WARMUP):
+            func()
+    best = {name: np.inf for name in cases}
+    for __ in range(REPS):
+        for name, func in cases.items():
+            start = time.perf_counter()
+            func()
+            best[name] = min(best[name], time.perf_counter() - start)
     fused = best["fused_nograd"]
     return {
         "workload": dict(WORKLOAD),

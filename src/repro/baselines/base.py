@@ -13,9 +13,7 @@ Every baseline in the paper's Tables III–V is re-implemented on the
 Both speak the unified inference API (``repro.serve.api.InferenceAPI``):
 SSL learners implement ``encode`` and reject ``predict`` (no predictive
 head), end-to-end forecasters implement ``predict`` and reject ``encode``
-(no embedding space worth serving).  The pre-redesign method names
-(``timestamp_embeddings`` / ``instance_embeddings`` /
-``forecast_features``) survive as thin deprecation shims.
+(no embedding space worth serving).
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from ..data.loader import batch_indices
 from ..evaluation import metrics
 from ..nn import Tensor
 from ..serve.api import InferenceUnsupported
-from ..utils.deprecation import warn_deprecated
 
 __all__ = ["FitConfig", "SSLBaseline", "EndToEndForecaster", "ConvEncoder"]
 
@@ -154,19 +151,6 @@ class SSLBaseline(nn.Module):
         return self
 
     # -- unified inference API (repro.serve.api.InferenceAPI) -------------
-    def _feature_hook(self, x: np.ndarray) -> Tensor:
-        """Resolve the per-timestep representation hook.
-
-        Pre-redesign subclasses overrode ``encode`` with the Tensor-valued
-        hook that is now called ``features``; detect such overrides so
-        third-party baselines keep working through the deprecation window.
-        """
-        if type(self).features is not SSLBaseline.features:
-            return self.features(x)
-        if type(self).encode is not SSLBaseline.encode:
-            return self.encode(x)  # legacy subclass: encode IS the hook
-        return self.features(x)  # raises NotImplementedError
-
     def encode(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw batch ``(B, T, C)`` to ``(timestamp_emb, instance_emb)``.
 
@@ -179,7 +163,7 @@ class SSLBaseline(nn.Module):
         self.eval()
         try:
             with nn.no_grad():
-                z = self._feature_hook(x)
+                z = self.features(x)
                 return z.data, z.max(axis=1).data
         finally:
             self.train(was_training)
@@ -189,37 +173,6 @@ class SSLBaseline(nn.Module):
         raise InferenceUnsupported(
             f"{type(self).__name__} is an encoder-only SSL baseline; "
             "use encode() and attach a probe")
-
-    # -- legacy names (deprecation shims) ---------------------------------
-    def timestamp_embeddings(self, x: np.ndarray) -> np.ndarray:
-        """Deprecated: use ``encode(x)[0]``."""
-        warn_deprecated(f"{type(self).__name__}.timestamp_embeddings",
-                        "encode(x)[0]")
-        return self._encode_via_hook(x)[0]
-
-    def instance_embeddings(self, x: np.ndarray) -> np.ndarray:
-        """Deprecated: use ``encode(x)[1]``."""
-        warn_deprecated(f"{type(self).__name__}.instance_embeddings",
-                        "encode(x)[1]")
-        return self._encode_via_hook(x)[1]
-
-    def forecast_features(self, x: np.ndarray) -> np.ndarray:
-        """Deprecated: flatten ``encode(x)[0]`` instead."""
-        warn_deprecated(f"{type(self).__name__}.forecast_features",
-                        "encode(x)[0].reshape(len(x), -1)")
-        return self._encode_via_hook(x)[0].reshape(x.shape[0], -1)
-
-    def _encode_via_hook(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shim path that works even on legacy subclasses overriding
-        ``encode`` with the old Tensor-valued hook."""
-        was_training = self.training
-        self.eval()
-        try:
-            with nn.no_grad():
-                z = self._feature_hook(x)
-                return z.data, z.max(axis=1).data
-        finally:
-            self.train(was_training)
 
 
 class EndToEndForecaster(nn.Module):

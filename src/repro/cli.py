@@ -159,9 +159,9 @@ EXPERIMENTS = {
 def _run_profile_inference(args) -> int:
     """``repro profile --no-grad`` — profile the inference forward only.
 
-    ``--compiled [fp32|int8]`` profiles the packed hot path instead of
-    the fused autograd forward; its per-op rows (``packed.*``) line up
-    with the training profile's op names for side-by-side comparison
+    ``--compiled [fp32|int8]`` profiles the packed artifact instead of
+    the model's own forward; both run the same encoder-layer kernel, so
+    its rows (``packed.*``) line up with the ``encoder_layer.*`` rows
     (see docs/inference.md).
     """
     import time
@@ -170,7 +170,7 @@ def _run_profile_inference(args) -> int:
 
     from .core.config import TimeDRLConfig
     from .core.model import TimeDRL
-    from .nn import no_grad, profiler, use_fused
+    from .nn import no_grad, profiler
     from .utils.training import format_profile
 
     model_config = TimeDRLConfig(seq_len=args.seq_len,
@@ -188,14 +188,14 @@ def _run_profile_inference(args) -> int:
         label = f"compiled {target.kind}"
         encode = target.encode
     else:
-        label = ("reference (unfused)" if args.unfused else "fused") + " no_grad"
+        label = "no_grad"
 
         def encode(x):
             with no_grad():
                 return model.encode(x)
 
     started = time.perf_counter()
-    with use_fused(not args.unfused), profiler.profile() as prof:
+    with profiler.profile() as prof:
         for __ in range(args.steps):
             encode(batch)
     elapsed = time.perf_counter() - started
@@ -217,7 +217,6 @@ def _run_profile(args) -> int:
 
     from .core.config import PretrainConfig, TimeDRLConfig
     from .core.pretrain import run_pretrain
-    from .nn import use_fused
     from .utils.training import format_profile
 
     if args.no_grad or args.compiled is not None:
@@ -230,12 +229,10 @@ def _run_profile(args) -> int:
     rng = np.random.default_rng(args.seed)
     samples = rng.standard_normal(
         (args.steps * args.batch_size, args.seq_len, args.channels)).astype(np.float32)
-    with use_fused(not args.unfused):
-        result = run_pretrain(model_config, samples, train_config)
-    kernels = "reference (unfused)" if args.unfused else "fused"
+    result = run_pretrain(model_config, samples, train_config)
     console_log(f"profiled {args.steps} pre-training steps "
-                f"(batch={args.batch_size}, T={args.seq_len}, C={args.channels}, "
-                f"{kernels} kernels) in {result.wall_clock_seconds:.3f}s")
+                f"(batch={args.batch_size}, T={args.seq_len}, C={args.channels}) "
+                f"in {result.wall_clock_seconds:.3f}s")
     console_log(format_profile(result.profile, sort_by=args.sort_by, limit=args.limit))
     if args.output is not None:
         args.output.parent.mkdir(parents=True, exist_ok=True)
@@ -1264,8 +1261,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--sort-by", choices=("count", "total_s", "self_s", "bytes"),
                       default="total_s")
     prof.add_argument("--limit", type=int, default=25, help="max rows to print")
-    prof.add_argument("--unfused", action="store_true",
-                      help="profile the reference (unfused) kernels instead")
     prof.add_argument("--no-grad", action="store_true",
                       help="profile the inference (encode) forward instead "
                            "of full training steps")
@@ -1314,7 +1309,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--distill-lr", type=float, default=1e-3)
     comp.add_argument("--max-abs-diff", type=float, default=0.0,
                       help="fail (exit 4) if the embedding drift vs the fp "
-                           "reference exceeds this (0 = report only)")
+                           "reference exceeds this (0 = report only). The "
+                           "drift is the maximum over the calibration "
+                           "windows, not a bound on served traffic; gate "
+                           "that with `repro swap --max-abs-diff`")
     comp.add_argument("--seed", type=int, default=0)
     comp.add_argument("--output", type=pathlib.Path, default=None,
                       help="artifact path (default ./compiled-<kind>.npz)")

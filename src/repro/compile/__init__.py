@@ -3,9 +3,10 @@
 Turns a pre-trained checkpoint into a packed, checksummed inference
 artifact (ROADMAP item 3 / ISSUE 10):
 
-* **pre-packing** — transposed, contiguous, QKV-fused weight layouts
-  consumed by the :mod:`repro.nn.inference` no_grad fast forward; the
-  fp32 exact path is bit-identical to the fused forward;
+* **pre-packing** — transposed, contiguous (optionally QKV-fused)
+  weight layouts consumed by the same encoder-layer forward that
+  training runs (:mod:`repro.nn.encoder_layer`); the fp32 exact path is
+  bit-identical to the model's ``no_grad`` forward;
 * **quantization** — per-channel symmetric int8 with activation-range
   calibration from a data spec and a strict ``max_abs_diff`` report;
 * **distillation** — an optional smaller student trained against the

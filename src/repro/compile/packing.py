@@ -5,13 +5,15 @@ distilled :class:`~repro.compile.distill.StudentModel`) and exports every
 inference-relevant parameter into one flat ``name -> ndarray`` dict — the
 canonical form that is checksummed, quantized, and serialized by
 :mod:`repro.compile.artifact`.  ``build_packed_encoder`` turns that dict
-back into the :class:`~repro.nn.inference.PackedSequenceEncoder` hot
-path, performing the layout work exactly once:
+back into a :class:`PackedSequenceEncoder`, whose layers run the same
+:func:`~repro.nn.encoder_layer.encoder_layer_forward` as training,
+performing the layout work exactly once:
 
 * Linear weights transpose to ``(in, out)`` Fortran order (the optimal
   GEMM operand; for a C-contiguous ``(out, in)`` weight this is a view);
-* the Q/K/V projections fuse column-wise into a single ``(in, 3*d)``
-  weight — one GEMM per layer instead of three, bit-identical blocks;
+* in fast mode the Q/K/V projections fuse column-wise into a single
+  ``(in, 3*d)`` weight — one GEMM per layer instead of three (BLAS
+  blocking differs, so exact mode keeps three GEMMs);
 * the positional table and the causal mask (decoder ablation) are baked
   for the encoder's fixed ``1 + T_p`` token count;
 * int8 entries are cast to float32 grid points once ("dequant-free").
@@ -22,21 +24,23 @@ ablation backbones raise :class:`~repro.compile.errors.CompileError`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..nn.attention import causal_mask
-from ..nn.inference import (
-    PackedAttention,
-    PackedEncoderLayer,
-    PackedLayerNorm,
+from ..nn.encoder_layer import (
+    EncoderLayerWeights,
+    NormWeights,
     PackedLinear,
-    PackedSequenceEncoder,
+    encoder_layer_forward,
 )
 from ..nn.tensor import DEFAULT_DTYPE
 from .errors import CompileError
 
 __all__ = [
     "COMPILABLE_BACKBONES",
+    "PackedSequenceEncoder",
     "export_model_arrays",
     "build_packed_encoder",
     "build_packed_linear",
@@ -152,6 +156,42 @@ def _fused_qkv(arrays: dict, prefix: str) -> PackedLinear | None:
                         scale=scale, name="packed.qkv")
 
 
+@dataclass
+class PackedSequenceEncoder:
+    """The full TimeDRL encoder forward over pre-packed weights.
+
+    Consumes *already patched* input ``(N, T_p, token_dim)`` (the
+    :func:`repro.core.patching` pipeline stays upstream, it is plain
+    NumPy either way) and returns ``z (N, 1+T_p, d_model)``.  The [CLS]
+    row, positional slice and causal mask are baked at pack time for the
+    encoder's fixed token count — nothing is re-materialized per call.
+    """
+
+    cls_token: np.ndarray             # (token_dim,)
+    token: PackedLinear
+    pos: np.ndarray                   # (1+T_p, d_model), contiguous slice
+    layers: list[EncoderLayerWeights] = field(default_factory=list)
+    token_dim: int = 0
+
+    def __call__(self, x_patched: np.ndarray) -> np.ndarray:
+        if x_patched.ndim != 3:
+            raise ValueError(
+                f"expected (N, T_p, token_dim), got shape {x_patched.shape}")
+        if x_patched.shape[2] != self.token_dim:
+            raise ValueError(
+                f"token width {x_patched.shape[2]} != packed token_dim "
+                f"= {self.token_dim}")
+        n = x_patched.shape[0]
+        cls_rows = np.broadcast_to(
+            self.cls_token.reshape(1, 1, -1), (n, 1, self.token_dim))
+        with_cls = np.concatenate([cls_rows, x_patched], axis=1)
+        h = self.token(with_cls)
+        h += self.pos
+        for layer in self.layers:
+            h, __ = encoder_layer_forward(layer, h)
+        return h
+
+
 def build_packed_encoder(arrays: dict, structure: dict,
                          config, exact_gelu: bool = True,
                          fuse_qkv: bool = False) -> PackedSequenceEncoder:
@@ -164,46 +204,39 @@ def build_packed_encoder(arrays: dict, structure: dict,
     """
     tokens = 1 + config.num_patches
     eps = structure.get("norm_eps", {})
+    mask = causal_mask(tokens)[None, None] if structure.get("causal") else None
     layers = []
     for index in range(structure["num_layers"]):
         prefix = f"layers.{index}"
-        num_heads = structure["num_heads"]
-        head_dim = config.d_model // num_heads
-        mask = None
-        if structure.get("causal"):
-            mask = causal_mask(tokens)[None, None, :, :]
+
+        def linear(part: str, name: str) -> PackedLinear:
+            return build_packed_linear(arrays, f"{prefix}.{part}", f"packed.{name}")
+
+        def norm(part: str) -> NormWeights:
+            return NormWeights(arrays[f"{prefix}.{part}.weight"],
+                               arrays[f"{prefix}.{part}.bias"],
+                               eps.get(f"{prefix}.{part}", 1e-5))
+
         qkv = _fused_qkv(arrays, prefix) if fuse_qkv else None
-        attention = PackedAttention(
-            out=build_packed_linear(arrays, f"{prefix}.out", "packed.out_proj"),
-            num_heads=num_heads,
-            head_dim=head_dim,
-            scale=np.asarray(float(np.sqrt(head_dim)), dtype=DEFAULT_DTYPE),
+        separate = qkv is None
+        layers.append(EncoderLayerWeights(
+            q=linear("q", "q_proj") if separate else None,
+            k=linear("k", "k_proj") if separate else None,
+            v=linear("v", "v_proj") if separate else None,
             qkv=qkv,
-            q=None if qkv is not None else build_packed_linear(
-                arrays, f"{prefix}.q", "packed.q_proj"),
-            k=None if qkv is not None else build_packed_linear(
-                arrays, f"{prefix}.k", "packed.k_proj"),
-            v=None if qkv is not None else build_packed_linear(
-                arrays, f"{prefix}.v", "packed.v_proj"),
-            mask=mask)
-        layers.append(PackedEncoderLayer(
-            attention=attention,
-            norm1=PackedLayerNorm(
-                weight=arrays[f"{prefix}.norm1.weight"],
-                bias=arrays[f"{prefix}.norm1.bias"],
-                eps=eps.get(f"{prefix}.norm1", 1e-5)),
-            ff1=build_packed_linear(arrays, f"{prefix}.ff1", "packed.ff1"),
-            ff2=build_packed_linear(arrays, f"{prefix}.ff2", "packed.ff2"),
-            norm2=PackedLayerNorm(
-                weight=arrays[f"{prefix}.norm2.weight"],
-                bias=arrays[f"{prefix}.norm2.bias"],
-                eps=eps.get(f"{prefix}.norm2", 1e-5)),
-        ))
+            out=linear("out", "out_proj"),
+            ff1=linear("ff1", "ff1"),
+            ff2=linear("ff2", "ff2"),
+            norm1=norm("norm1"),
+            norm2=norm("norm2"),
+            num_heads=structure["num_heads"],
+            mask=mask,
+            exact_gelu=exact_gelu,
+            name="packed"))
     pos = np.ascontiguousarray(arrays["pos"][:tokens, :])
     return PackedSequenceEncoder(
         cls_token=arrays["cls_token"],
         token=build_packed_linear(arrays, "token", "packed.token_encoding"),
         pos=pos,
         layers=layers,
-        exact_gelu=exact_gelu,
         token_dim=config.token_dim)

@@ -96,12 +96,8 @@ def _linear_sites(encoder) -> list[tuple[object, str, str]]:
     sites = [(encoder, "token", "token")]
     for index, layer in enumerate(encoder.layers):
         prefix = f"layers.{index}"
-        sites += [(layer.attention, "q", f"{prefix}.q"),
-                  (layer.attention, "k", f"{prefix}.k"),
-                  (layer.attention, "v", f"{prefix}.v"),
-                  (layer.attention, "out", f"{prefix}.out"),
-                  (layer, "ff1", f"{prefix}.ff1"),
-                  (layer, "ff2", f"{prefix}.ff2")]
+        sites += [(layer, part, f"{prefix}.{part}")
+                  for part in ("q", "k", "v", "out", "ff1", "ff2")]
     return sites
 
 

@@ -25,7 +25,6 @@ from .. import nn
 from ..augmentations import AUGMENTATIONS
 from ..nn import Tensor
 from ..nn import functional as F
-from ..utils.deprecation import warn_deprecated
 from .config import TimeDRLConfig
 from .encoder import TimeDRLEncoder
 from .heads import InstanceContrastiveHead, TimestampPredictiveHead
@@ -158,22 +157,3 @@ class TimeDRL(nn.Module):
             return per_patch
         finally:
             self.train(was_training)
-
-    # ------------------------------------------------------------------
-    # Legacy inference names (deprecation shims)
-    # ------------------------------------------------------------------
-    def timestamp_embeddings(self, x: np.ndarray) -> np.ndarray:
-        """Deprecated: use ``encode(x)[0]``."""
-        warn_deprecated("TimeDRL.timestamp_embeddings", "TimeDRL.encode(x)[0]")
-        return self.encode(x)[0]
-
-    def instance_embeddings(self, x: np.ndarray) -> np.ndarray:
-        """Deprecated: use ``encode(x)[1]``."""
-        warn_deprecated("TimeDRL.instance_embeddings", "TimeDRL.encode(x)[1]")
-        return self.encode(x)[1]
-
-    def embed(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deprecated: use ``encode`` (note the reversed return order)."""
-        warn_deprecated("TimeDRL.embed", "TimeDRL.encode")
-        timestamp, instance = self.encode(x)
-        return instance, timestamp

@@ -7,11 +7,10 @@ optimizers.  Everything is seeded through explicit
 ``numpy.random.Generator`` objects for reproducibility.
 """
 
+from . import encoder_layer
 from . import functional
-from . import inference
 from . import profiler
 from .attention import MultiHeadAttention, causal_mask
-from .functional import fused_enabled, use_fused
 from .conv import (
     CausalConv1d,
     Conv1d,
@@ -22,6 +21,7 @@ from .conv import (
     TCN,
     TCNBlock,
 )
+from .encoder_layer import encoder_layer_backward, encoder_layer_forward
 from .layers import (
     BatchNorm1d,
     Dropout,
@@ -75,7 +75,8 @@ from .transformer import (
 )
 
 __all__ = [
-    "functional", "inference", "profiler", "use_fused", "fused_enabled",
+    "encoder_layer", "functional", "profiler",
+    "encoder_layer_forward", "encoder_layer_backward",
     "Tensor", "as_tensor", "no_grad", "is_grad_enabled",
     "concatenate", "stack", "where", "maximum", "minimum",
     "LoadResult", "Module", "ModuleList", "Parameter", "Sequential",

@@ -10,10 +10,17 @@ from __future__ import annotations
 import numpy as np
 
 from .attention import MultiHeadAttention, causal_mask
+from .encoder_layer import (
+    EncoderLayerWeights,
+    NormWeights,
+    PackedLinear,
+    encoder_layer_backward,
+    encoder_layer_forward,
+)
 from .layers import Dropout, GELU, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
 from . import init
-from .tensor import Tensor
+from .tensor import Tensor, _make_node, is_grad_enabled
 
 __all__ = [
     "TransformerEncoderLayer",
@@ -22,8 +29,20 @@ __all__ = [
 ]
 
 
+def _packed(linear: Linear, name: str) -> PackedLinear:
+    return PackedLinear(linear.weight.data.T, linear.bias.data,
+                        name=f"encoder_layer.{name}")
+
+
 class TransformerEncoderLayer(Module):
-    """One Transformer block: self-attention + position-wise FFN."""
+    """One Transformer block: self-attention + position-wise FFN.
+
+    ``forward`` runs the block as one autograd node over the
+    :mod:`~repro.nn.encoder_layer` kernel pair.  The submodules hold the
+    parameters (and so the ``state_dict`` keys) and compose
+    :meth:`reference_forward`, the op-graph oracle the kernel is tested
+    against.
+    """
 
     def __init__(self, d_model: int, num_heads: int, d_ff: int | None = None,
                  dropout: float = 0.1, causal: bool = False,
@@ -42,7 +61,54 @@ class TransformerEncoderLayer(Module):
         self.dropout2 = Dropout(dropout, rng=rng)
         self.ff_dropout = Dropout(dropout, rng=rng)
 
+    def _kernel_params(self) -> dict[str, Parameter]:
+        """The parameters keyed by ``encoder_layer.PARAM_NAMES``."""
+        attn = self.attention
+        owners = {"q": attn.q_proj, "k": attn.k_proj, "v": attn.v_proj,
+                  "out": attn.out_proj, "ff1": self.ff1, "ff2": self.ff2,
+                  "norm1": self.norm1, "norm2": self.norm2}
+        return {f"{key}.{part}": getattr(module, part)
+                for key, module in owners.items() for part in ("weight", "bias")}
+
+    def _kernel_weights(self, tokens: int) -> EncoderLayerWeights:
+        attn = self.attention
+        return EncoderLayerWeights(
+            q=_packed(attn.q_proj, "q_proj"), k=_packed(attn.k_proj, "k_proj"),
+            v=_packed(attn.v_proj, "v_proj"), out=_packed(attn.out_proj, "out_proj"),
+            ff1=_packed(self.ff1, "ff1"), ff2=_packed(self.ff2, "ff2"),
+            norm1=NormWeights(self.norm1.weight.data, self.norm1.bias.data,
+                              self.norm1.eps),
+            norm2=NormWeights(self.norm2.weight.data, self.norm2.bias.data,
+                              self.norm2.eps),
+            num_heads=attn.num_heads,
+            mask=causal_mask(tokens)[None, None] if self.causal else None)
+
     def forward(self, x: Tensor) -> Tensor:
+        params = self._kernel_params()
+        sites = (self.attention.attn_dropout, self.dropout1, self.ff_dropout,
+                 self.dropout2)
+        dropout = tuple((site.p, site.rng) if site.training else None
+                        for site in sites)
+        save = is_grad_enabled() and (
+            x.requires_grad or any(p.requires_grad for p in params.values()))
+        out_data, saved = encoder_layer_forward(
+            self._kernel_weights(x.shape[1]), x.data, save=save, dropout=dropout)
+        out = _make_node(out_data, (x, *params.values()))
+        if out.requires_grad:
+
+            def _backward(grad):
+                x_grads, param_grads = encoder_layer_backward(saved, grad)
+                for key, param in params.items():
+                    param._accumulate(param_grads[key], owned=True)
+                # One at a time, in the engine's order: x may feed other nodes.
+                for g in x_grads:
+                    x._accumulate(g, owned=True)
+
+            out._backward = _backward
+        return out
+
+    def reference_forward(self, x: Tensor) -> Tensor:
+        """The same block as a graph of submodule ops (the test oracle)."""
         mask = causal_mask(x.shape[1]) if self.causal else None
         attended = self.attention(x, attn_mask=mask)
         x = self.norm1(x + self.dropout1(attended))

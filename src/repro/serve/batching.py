@@ -5,7 +5,7 @@ queued and coalesced into dynamic micro-batches: a batch closes when it
 reaches ``max_batch_size`` windows or when the oldest queued request has
 waited ``max_wait_ms`` — the classic throughput/latency dial.  Each
 micro-batch runs exactly one forward pass under eval mode + ``no_grad``
-on the fused-kernel fast path.
+(the encoder-layer kernel, :mod:`repro.nn.encoder_layer`).
 
 Two execution modes share the same batching core:
 
@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import nn
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.metrics import get_registry
@@ -91,7 +90,6 @@ class BatchingConfig:
 
     max_batch_size: int = 64
     max_wait_ms: float = 2.0
-    use_fused: bool = True
 
     def __post_init__(self):
         if self.max_batch_size < 1:
@@ -516,27 +514,26 @@ class BatchingEngine:
         handles.queue_depth.set(depth)
 
     def _forward(self, kind: str, inputs: list[np.ndarray]) -> list:
-        """One fused eval/no-grad pass over the concatenated misses,
-        split back per request."""
+        """One eval/no-grad pass over the concatenated misses, split back
+        per request."""
         if not inputs:
             return []
         stacked = inputs[0] if len(inputs) == 1 else np.concatenate(inputs)
-        with nn.use_fused(self.config.use_fused):
-            if kind == "encode":
-                timestamp, instance = self.loaded.model.encode(stacked)
-                ci = self.loaded.config.channel_independence
-                channels = self.loaded.config.input_channels if ci else 1
-                results, ts_row, inst_row = [], 0, 0
-                for x in inputs:
-                    n = x.shape[0]
-                    results.append((timestamp[ts_row:ts_row + n * channels],
-                                    instance[inst_row:inst_row + n * channels]))
-                    ts_row += n * channels
-                    inst_row += n * channels
-                return results
-            prediction = self.loaded.model.predict(stacked)
-            results, row = [], 0
+        if kind == "encode":
+            timestamp, instance = self.loaded.model.encode(stacked)
+            ci = self.loaded.config.channel_independence
+            channels = self.loaded.config.input_channels if ci else 1
+            results, ts_row, inst_row = [], 0, 0
             for x in inputs:
-                results.append(prediction[row:row + x.shape[0]])
-                row += x.shape[0]
+                n = x.shape[0]
+                results.append((timestamp[ts_row:ts_row + n * channels],
+                                instance[inst_row:inst_row + n * channels]))
+                ts_row += n * channels
+                inst_row += n * channels
             return results
+        prediction = self.loaded.model.predict(stacked)
+        results, row = [], 0
+        for x in inputs:
+            results.append(prediction[row:row + x.shape[0]])
+            row += x.shape[0]
+        return results

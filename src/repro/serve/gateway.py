@@ -456,9 +456,8 @@ class ServingGateway:
                     f"candidate geometry (seq_len, channels)={got} does not "
                     f"match the serving alias {expected}; refusing to swap")
             validator = ShadowValidator(
-                candidate, config, use_fused=self.config.batching.use_fused,
-                threaded=self._threaded, on_verdict=self._on_verdict,
-                on_complete=self._finalize_swap)
+                candidate, config, threaded=self._threaded,
+                on_verdict=self._on_verdict, on_complete=self._finalize_swap)
             handle = SwapHandle(candidate, validator)
             self._swap_handle = handle
             self._swap_alias = staging

@@ -33,12 +33,10 @@ class ServiceConfig:
     max_batch_size: int = 64
     max_wait_ms: float = 2.0
     cache_size: int = 1024   # 0 disables the embedding cache
-    use_fused: bool = True
 
     def batching(self) -> BatchingConfig:
         return BatchingConfig(max_batch_size=self.max_batch_size,
-                              max_wait_ms=self.max_wait_ms,
-                              use_fused=self.use_fused)
+                              max_wait_ms=self.max_wait_ms)
 
 
 class InferenceService:

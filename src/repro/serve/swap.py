@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import nn
 from .errors import SwapFailed
 from .registry import LoadedModel
 
@@ -111,11 +110,10 @@ class ShadowValidator:
     """
 
     def __init__(self, candidate: LoadedModel, config: SwapConfig,
-                 use_fused: bool = True, threaded: bool = False,
+                 threaded: bool = False,
                  on_verdict=None, on_complete=None):
         self.candidate = candidate
         self.config = config
-        self.use_fused = use_fused
         self._on_verdict = on_verdict
         self._on_complete = on_complete
         self._lock = threading.Lock()
@@ -202,11 +200,10 @@ class ShadowValidator:
     # -- scoring -----------------------------------------------------------
     def _validate(self, x: np.ndarray, kind: str, live_result) -> None:
         start = time.perf_counter()
-        with nn.use_fused(self.use_fused):
-            if kind == "encode":
-                shadow_result = self.candidate.model.encode(x)
-            else:
-                shadow_result = self.candidate.model.predict(x)
+        if kind == "encode":
+            shadow_result = self.candidate.model.encode(x)
+        else:
+            shadow_result = self.candidate.model.predict(x)
         latency_ms = (time.perf_counter() - start) * 1e3
         live = _arrays(live_result)
         shadow = _arrays(shadow_result)

@@ -71,8 +71,7 @@ class TestSSLInterfaceContracts:
     def test_fit_and_embeddings(self, name, cls):
         model = cls(in_channels=3, d_model=16, seed=0)
         model.fit(_samples(), QUICK)
-        z_t = model.timestamp_embeddings(_samples(4))
-        z_i = model.instance_embeddings(_samples(4))
+        z_t, z_i = model.encode(_samples(4))
         assert z_t.shape[0] == 4 and z_t.ndim == 3, name
         assert z_i.shape == (4, z_t.shape[2]), name
         assert np.isfinite(z_t).all() and np.isfinite(z_i).all(), name
@@ -105,7 +104,7 @@ class TestSSLInterfaceContracts:
         data = _forecast_data()
         model = SimTS(in_channels=3, d_model=16, seed=0)
         model.fit(data.train, QUICK)
-        features = model.forecast_features(_samples(4))
+        features = model.encode(_samples(4))[0].reshape(4, -1)
         assert features.shape == (4, 32 * 16)
 
 

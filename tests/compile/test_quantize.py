@@ -104,7 +104,7 @@ class TestCalibration:
         compiled, __ = compile_model(model, CompileOptions("fp32"),
                                      calibration=windows[:16])
         # after calibration the hot path must carry zero observer overhead
-        from repro.nn.inference import PackedLinear
+        from repro.nn.encoder_layer import PackedLinear
 
         encoder = compiled._encoder
         assert isinstance(encoder.token, PackedLinear)

@@ -1,9 +1,11 @@
-"""Fused vs unfused equivalence at the model level.
+"""Encoder-layer kernel vs reference op graph at the model level.
 
-The fused kernels may not change learning dynamics in any way: a fixed-seed
-pre-training run must produce **bit-identical** losses and parameters under
-both dispatch modes.  This is the lock that lets future perf work touch the
-hot paths without silently perturbing reproductions of the paper's numbers.
+The kernel pair may not change learning dynamics in any way: a fixed-seed
+pre-training run must produce **bit-identical** losses and parameters
+whether every ``TransformerEncoderLayer`` runs the kernel or its
+``reference_forward`` op graph.  This is the lock that lets future perf
+work touch the hot path without silently perturbing reproductions of the
+paper's numbers.
 """
 
 import numpy as np
@@ -12,16 +14,18 @@ import pytest
 from repro.core.config import PretrainConfig, TimeDRLConfig
 from repro.core.model import TimeDRL
 from repro.core.pretrain import run_pretrain
-from repro.nn import AdamW, clip_grad_norm, no_grad, use_fused
+from repro.nn import AdamW, clip_grad_norm, no_grad
 from repro.utils.training import set_global_seed
+
+from ..helpers import layers_run
 
 TINY = dict(seq_len=32, input_channels=2, patch_len=8, stride=8,
             d_model=16, num_heads=2, num_layers=1, seed=0)
 
 
-def _train_three_steps(fused: bool):
+def _train_three_steps(kernel: bool):
     """Three optimizer steps at a fixed seed; returns losses and state."""
-    with use_fused(fused):
+    with layers_run(kernel):
         set_global_seed(0)
         model = TimeDRL(TimeDRLConfig(**TINY))
         model.train()
@@ -41,11 +45,11 @@ def _train_three_steps(fused: bool):
 class TestPretrainingEquivalence:
     @pytest.fixture(scope="class")
     def runs(self):
-        return _train_three_steps(fused=True), _train_three_steps(fused=False)
+        return _train_three_steps(kernel=True), _train_three_steps(kernel=False)
 
     def test_losses_bit_identical_over_three_steps(self, runs):
         (losses_fused, _), (losses_ref, _) = runs
-        # Exact float equality, not allclose: the fused backward replays the
+        # Exact float equality, not allclose: the kernel backward replays the
         # reference op sequence, so even the optimizer trajectory matches.
         assert losses_fused == losses_ref
 
@@ -99,8 +103,8 @@ class TestInferenceEquivalence:
     def test_eval_forward_bit_identical(self):
         x = np.random.default_rng(1).standard_normal((3, 32, 2)).astype(np.float32)
         outputs = []
-        for fused in (True, False):
-            with use_fused(fused):
+        for kernel in (True, False):
+            with layers_run(kernel):
                 set_global_seed(0)
                 model = TimeDRL(TimeDRLConfig(**TINY))
                 model.eval()

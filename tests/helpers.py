@@ -1,5 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking and tiny
-out-of-core corpus builders.
+"""Shared test utilities: finite-difference gradient checking, the
+encoder-layer reference switch, and tiny out-of-core corpus builders.
 
 The ladder helpers build real sharded stores (manifest + multiple
 ``.npy`` shards) in a test's ``tmp_path`` but at toy scale — a few
@@ -10,12 +10,24 @@ or slow CI.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
+from unittest import mock
 
 import numpy as np
 
 from repro.data import build_store, synthetic_windows_spec
-from repro.nn import Tensor
+from repro.nn import Tensor, TransformerEncoderLayer
+
+def layers_run(kernel: bool):
+    """Context in which every ``TransformerEncoderLayer`` runs the kernel
+    pair (``kernel=True``, the default behaviour) or its reference op
+    graph (``kernel=False``) — the two sides of the equivalence suites."""
+    if kernel:
+        return contextlib.nullcontext()
+    return mock.patch.object(TransformerEncoderLayer, "forward",
+                             TransformerEncoderLayer.reference_forward)
+
 
 # Toy ladder: same multi-shard layout as the real DATA_LADDER, CI-sized.
 TINY_LADDER = {"smallest": 96, "small": 256, "mid": 640}

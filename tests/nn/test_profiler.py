@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.nn import Linear, Sequential, Tensor, profiler
+from repro.nn import Linear, Sequential, Tensor, TransformerEncoderLayer, profiler
 from repro.nn import functional as F
 from repro.utils.training import format_profile
 
@@ -137,10 +137,36 @@ class TestStrictNoOpWhenDisabled:
         profiler.record("op", 1.0)
         assert profiler.snapshot() == {}
 
+    def test_encoder_layer_reads_no_clock_when_disabled(self, monkeypatch):
+        def _forbidden():
+            raise AssertionError("profiler clock read while disabled")
+
+        monkeypatch.setattr(profiler, "_now", _forbidden)
+        layer = TransformerEncoderLayer(8, 2, rng=np.random.default_rng(0))
+        x = Tensor(np.ones((2, 3, 8), dtype=np.float32), requires_grad=True)
+        layer(x).sum().backward()
+        assert profiler.snapshot() == {}
+
     def test_no_stats_recorded_when_disabled(self):
         x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
         F.softmax(x, axis=-1).sum().backward()
         assert profiler.snapshot() == {}
+
+
+class TestEncoderLayerRows:
+    def test_layer_splits_into_attention_ffn_and_layer_norm_rows(self):
+        layer = TransformerEncoderLayer(8, 2, rng=np.random.default_rng(0))
+        x = Tensor(np.ones((2, 3, 8), dtype=np.float32), requires_grad=True)
+        with profiler.profile() as prof:
+            layer(x).sum().backward()
+        rows = {"sdpa": 1, "gelu": 1, "layer_norm": 2, "q_proj": 1,
+                "out_proj": 1, "ff1": 1, "ff2": 1}
+        for row, count in rows.items():
+            assert prof.stats[f"encoder_layer.{row}"].count == count, row
+            assert prof.stats[f"encoder_layer.{row}.backward"].count == count, row
+        # Kernel rows nest inside the module scope: no double counting.
+        module = prof.stats["TransformerEncoderLayer"]
+        assert module.self_s <= module.total_s
 
 
 class TestProfileContextManager:

@@ -1,9 +1,8 @@
 """InferenceAPI protocol conformance across TimeDRL and the baselines.
 
 Covers the unified ``encode()``/``predict()`` surface, the
-``InferenceUnsupported`` contract for half-capable models, the
-deprecation shims over the old accessor names, and the eval-mode
-regression fix for end-to-end baselines (dropout must be inactive at
+``InferenceUnsupported`` contract for half-capable models, and the
+eval-mode regression fix for end-to-end baselines (dropout must be inactive at
 inference).
 """
 
@@ -115,61 +114,7 @@ class TestEvalModeAtInference:
                                       model.encode(windows[:4])[0])
 
 
-class TestDeprecationShims:
-    def test_timestamp_embeddings_shim(self, model, windows):
-        with pytest.warns(DeprecationWarning, match="encode"):
-            old = model.timestamp_embeddings(windows[:3])
-        np.testing.assert_array_equal(old, model.encode(windows[:3])[0])
-
-    def test_instance_embeddings_shim(self, model, windows):
-        with pytest.warns(DeprecationWarning, match="encode"):
-            old = model.instance_embeddings(windows[:3])
-        np.testing.assert_array_equal(old, model.encode(windows[:3])[1])
-
-    def test_embed_shim_keeps_old_order(self, model, windows):
-        with pytest.warns(DeprecationWarning):
-            instance, timestamp = model.embed(windows[:3])
-        z_t, z_i = model.encode(windows[:3])
-        np.testing.assert_array_equal(instance, z_i)
-        np.testing.assert_array_equal(timestamp, z_t)
-
-    def test_baseline_shims(self, ts2vec, windows):
-        z_t, z_i = ts2vec.encode(windows[:3])
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                ts2vec.timestamp_embeddings(windows[:3]), z_t)
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                ts2vec.instance_embeddings(windows[:3]), z_i)
-        with pytest.warns(DeprecationWarning):
-            np.testing.assert_array_equal(
-                ts2vec.forecast_features(windows[:3]),
-                z_t.reshape(3, -1))
-
-
 class TestLegacySubclassCompat:
-    def test_old_style_encode_override_still_works(self, windows):
-        """Third-party subclasses that override the old Tensor-valued
-        ``encode`` hook keep working through the shim accessors."""
-        from repro import nn
-
-        class LegacyBaseline(SSLBaseline):
-            def __init__(self):
-                super().__init__()
-                self.proj = nn.Linear(CHANNELS, 8,
-                                      rng=np.random.default_rng(1))
-
-            def encode(self, x):  # old-style hook: array in, Tensor out
-                return self.proj(nn.Tensor(np.asarray(x, dtype=np.float32)))
-
-        baseline = LegacyBaseline()
-        with pytest.warns(DeprecationWarning):
-            z_i = baseline.instance_embeddings(windows[:3])
-        with pytest.warns(DeprecationWarning):
-            z_t = baseline.timestamp_embeddings(windows[:3])
-        assert z_t.shape == (3, SEQ_LEN, 8)
-        np.testing.assert_array_equal(z_i, z_t.max(axis=1))
-
     def test_unimplemented_hook_raises(self, windows):
         class Bare(SSLBaseline):
             pass

@@ -14,6 +14,8 @@ import pytest
 from repro.serve import (BatchingConfig, BatchingEngine, EmbeddingCache,
                          ModelRegistry)
 
+from ..helpers import layers_run
+
 
 @pytest.fixture(scope="module")
 def loaded(checkpoint_dir):
@@ -62,11 +64,10 @@ class TestBitIdenticalCoalescing:
         np.testing.assert_array_equal(served, direct)
 
     def test_fused_and_reference_paths_agree(self, loaded, windows):
-        fused = BatchingEngine(loaded, BatchingConfig(use_fused=True))
-        reference = BatchingEngine(loaded, BatchingConfig(use_fused=False))
-        np.testing.assert_allclose(fused.encode(windows[:8])[1],
-                                   reference.encode(windows[:8])[1],
-                                   rtol=1e-5, atol=1e-6)
+        fused = BatchingEngine(loaded).encode(windows[:8])[1]
+        with layers_run(kernel=False):
+            reference = BatchingEngine(loaded).encode(windows[:8])[1]
+        np.testing.assert_allclose(fused, reference, rtol=1e-5, atol=1e-6)
 
 
 class TestCacheWiring:

@@ -90,7 +90,7 @@ def test_embeddings_feed_clustering_and_anomaly_paths():
                            d_model=16, num_heads=2, num_layers=1, seed=0)
     result = run_pretrain(config, data.x_train, _FAST)
 
-    embeddings = result.model.instance_embeddings(data.x_test)
+    embeddings = result.model.encode(data.x_test)[1]
     clustering = evaluate_clustering(embeddings, data.y_test, seed=0)
     assert 0 <= clustering.nmi <= 1
     assert 0 <= clustering.accuracy <= 1

@@ -5,8 +5,10 @@ The free functions ``repro.core.pretrain`` / ``fine_tune_forecasting`` /
 use the ``run_*`` functions or :class:`repro.train.TrainSession`.  This
 test walks the AST of the package and of ``examples/`` and fails if a
 module imports one of those names from ``repro.core``.  The examples
-must also not call the deprecated ``TimeDRL`` embedding accessors
-(``embed``, ``timestamp_embeddings``, ``instance_embeddings``).
+must also not call the removed embedding accessors of ``TimeDRL``
+(``embed``, ``timestamp_embeddings``, ``instance_embeddings``) or of the
+SSL baselines (``timestamp_embeddings``, ``instance_embeddings``,
+``forecast_features``); ``encode`` replaces all of them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ DEPRECATED = {
     "transfer_forecasting",
 }
 
-DEPRECATED_ACCESSORS = {"embed", "timestamp_embeddings", "instance_embeddings"}
+DEPRECATED_ACCESSORS = {"embed", "timestamp_embeddings", "instance_embeddings",
+                        "forecast_features"}
 
 SRC_ROOT = pathlib.Path(repro.__file__).resolve().parent
 EXAMPLES_ROOT = SRC_ROOT.parent.parent / "examples"
@@ -89,6 +92,7 @@ def test_examples_do_not_call_deprecated_accessors():
 def test_guard_actually_detects_offenders():
     tree = ast.parse("from repro.core import pretrain\n"
                      "from ..core.finetune import fine_tune_forecasting\n"
-                     "model.embed(x)\n")
+                     "model.embed(x)\n"
+                     "baseline.forecast_features(x)\n")
     assert len(_deprecated_imports(tree)) == 2
-    assert len(_accessor_calls(tree)) == 1
+    assert len(_accessor_calls(tree)) == 2
