@@ -9,8 +9,9 @@ back into a :class:`PackedSequenceEncoder`, whose layers run the same
 :func:`~repro.nn.encoder_layer.encoder_layer_forward` as training,
 performing the layout work exactly once:
 
-* Linear weights transpose to ``(in, out)`` Fortran order (the optimal
-  GEMM operand; for a C-contiguous ``(out, in)`` weight this is a view);
+* Linear weights transpose to C-contiguous ``(in, out)`` arrays, the
+  operand the GEMM rule (``repro.nn.tensor._gemm``) gives BLAS, so the
+  packed forward makes the same GEMM calls as the model's own;
 * in fast mode the Q/K/V projections fuse column-wise into a single
   ``(in, 3*d)`` weight — one GEMM per layer instead of three (BLAS
   blocking differs, so exact mode keeps three GEMMs);
@@ -134,7 +135,7 @@ def build_packed_linear(arrays: dict, prefix: str,
         # applied to the layer *output*, never to the weight per call.
         weight = weight.astype(DEFAULT_DTYPE)
         scale = np.ascontiguousarray(scale, dtype=DEFAULT_DTYPE)
-    packed = np.asfortranarray(weight.T)
+    packed = np.ascontiguousarray(weight.T)
     bias = arrays.get(f"{prefix}.bias")
     return PackedLinear(weight=packed, bias=bias, scale=scale,
                         name=name or f"packed.{prefix.split('.')[-1]}")
@@ -152,7 +153,7 @@ def _fused_qkv(arrays: dict, prefix: str) -> PackedLinear | None:
     scale = (np.concatenate(scales).astype(DEFAULT_DTYPE)
              if scales[0] is not None else None)
     bias = np.concatenate([arrays[f"{prefix}.{part}.bias"] for part in "qkv"])
-    return PackedLinear(weight=np.asfortranarray(weight.T), bias=bias,
+    return PackedLinear(weight=np.ascontiguousarray(weight.T), bias=bias,
                         scale=scale, name="packed.qkv")
 
 

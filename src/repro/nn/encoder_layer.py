@@ -26,8 +26,9 @@ behind on purpose: a column-fused ``qkv`` GEMM (BLAS blocking differs,
 the exact mode only.
 
 Under ``profiler._ACTIVE`` the kernels record per-block rows
-(``<name>.sdpa``, ``<name>.gelu``, ``<name>.layer_norm``, one row per
-GEMM, and a ``.backward`` row for each); the disabled profiler costs one
+(``<name>.sdpa``, ``<name>.gelu``, ``<name>.layer_norm``,
+``<name>.dropout`` for the mask draws and multiplies, one row per GEMM,
+and a ``.backward`` row for each); the disabled profiler costs one
 attribute read per block.
 """
 
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import profiler as _prof
-from .tensor import DEFAULT_DTYPE, _unbroadcast
+from .tensor import DEFAULT_DTYPE, _gemm, _gemm_backward, _unbroadcast
 
 __all__ = [
     "PackedLinear",
@@ -77,14 +78,15 @@ PARAM_NAMES = tuple(f"{lin}.{part}" for lin in _LINEARS
 class PackedLinear:
     """Affine map with the weight pre-transposed to ``(in, out)``.
 
-    ``weight`` is Fortran-order — exactly the layout ``nn.Linear``'s
-    ``x @ W.T`` hands BLAS, so both make the same GEMM call.  For
+    ``weight`` is a C-contiguous ``(in, out)`` array, the operand the GEMM
+    rule (``tensor._gemm``) hands BLAS for ``nn.Linear``'s ``x @ W.T`` too,
+    so both make the same GEMM calls forward and backward.  For
     int8-quantized layers the stored values are the quantized grid points
     cast to float32 once at build time ("dequant-free": one fp32 GEMM,
     then the per-output-channel ``scale`` applied to the *output*).
     """
 
-    weight: np.ndarray            # (in, out), F-order
+    weight: np.ndarray            # (in, out), C-contiguous
     bias: np.ndarray | None       # (out,)
     scale: np.ndarray | None = None  # (out,) per-channel int8 scale, or None
     name: str = "packed.linear"
@@ -92,7 +94,7 @@ class PackedLinear:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         profiled = _prof._ACTIVE
         t0 = _prof._now() if profiled else 0.0
-        out = np.matmul(x, self.weight)
+        out = _gemm(x, self.weight)
         if self.scale is not None:
             out *= self.scale
         if self.bias is not None:
@@ -105,10 +107,7 @@ class PackedLinear:
         """``(grad_x, grad_weight (out, in), grad_bias)`` of ``x @ W + b``."""
         profiled = _prof._ACTIVE
         t0 = _prof._now() if profiled else 0.0
-        weight = self.weight
-        grad_x = np.matmul(grad, np.swapaxes(weight, -1, -2))
-        grad_wt = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), grad),
-                               weight.shape)
+        grad_x, grad_wt = _gemm_backward(x, self.weight, grad)
         grad_b = _unbroadcast(grad, self.bias.shape)
         if profiled:
             _prof._profiler.record(f"{self.name}.backward", _prof._now() - t0)
@@ -162,15 +161,35 @@ def gelu_tanh(u: np.ndarray) -> np.ndarray:
     return inner
 
 
-def _dropout_mask(site, shape, dtype):
-    """Inverted-dropout mask for ``site = (p, rng)``, or ``None``."""
+def _dropout(x: np.ndarray, site, name: str):
+    """Draws the inverted-dropout mask of ``site = (p, rng)`` and applies
+    it to ``x`` in place; returns the mask, or ``None`` (no clock read)
+    for an inactive site."""
     if site is None or site[0] <= 0.0:
         return None
     p, rng = site
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    profiled = _prof._ACTIVE
+    t0 = _prof._now() if profiled else 0.0
     keep = 1.0 - p
-    return (rng.random(shape) < keep).astype(dtype) / keep
+    mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+    x *= mask
+    if profiled:
+        _prof._profiler.record(f"{name}.dropout", _prof._now() - t0, mask.nbytes)
+    return mask
+
+
+def _dropout_backward(grad: np.ndarray, mask, name: str, out=None):
+    """``grad * mask`` (into ``out`` if given), or ``grad`` without a mask."""
+    if mask is None:
+        return grad
+    profiled = _prof._ACTIVE
+    t0 = _prof._now() if profiled else 0.0
+    grad = np.multiply(grad, mask, out=out)
+    if profiled:
+        _prof._profiler.record(f"{name}.dropout.backward", _prof._now() - t0)
+    return grad
 
 
 # ----------------------------------------------------------------------
@@ -205,9 +224,11 @@ def _sdpa(q, k, v, scale: float, mask, site, save: bool, name: str):
     scores /= scale
     if mask is not None:
         scores = scores + mask
-    probs, soft = _softmax(scores, -1, save)
-    dmask = _dropout_mask(site, probs.shape, probs.dtype)
-    dropped = probs * dmask if dmask is not None else probs
+    dropped, soft = _softmax(scores, -1, save)
+    t_mask = _prof._now() if profiled else 0.0
+    dmask = _dropout(dropped, site, name)
+    if profiled:  # the draw has its own row
+        t0 += _prof._now() - t_mask
     context = np.matmul(dropped, v)
     if profiled:
         _prof._profiler.record(f"{name}.sdpa", _prof._now() - t0, context.nbytes)
@@ -221,8 +242,10 @@ def _sdpa_backward(saved, grad: np.ndarray, name: str):
     q, k, v, scale, soft, dmask, dropped = saved
     g_probs = np.matmul(grad, np.swapaxes(v, -1, -2))
     g_v = np.matmul(np.swapaxes(dropped, -1, -2), grad)
-    if dmask is not None:
-        g_probs *= dmask
+    t_mask = _prof._now() if profiled else 0.0
+    _dropout_backward(g_probs, dmask, name, out=g_probs)
+    if profiled:  # the mask multiply has its own row
+        t0 += _prof._now() - t_mask
     g_scores = _softmax_backward(g_probs, soft)
     g_scores /= scale
     g_q = np.matmul(g_scores, k)
@@ -372,20 +395,14 @@ def encoder_layer_forward(weights: EncoderLayerWeights, x: np.ndarray,
     name = weights.name
     sites = dropout or (None, None, None, None)
     residual, attention = _attention(weights, x, sites[0], save)
-    mask1 = _dropout_mask(sites[1], residual.shape, residual.dtype)
-    if mask1 is not None:
-        residual *= mask1
+    mask1 = _dropout(residual, sites[1], name)
     residual += x
     h1, ln1 = _layer_norm(residual, weights.norm1, save, name)
 
     act, gelu = _gelu(weights.ff1(h1), save, name, weights.exact_gelu)
-    ff_mask = _dropout_mask(sites[2], act.shape, act.dtype)
-    if ff_mask is not None:
-        act *= ff_mask
+    ff_mask = _dropout(act, sites[2], name)
     hidden = weights.ff2(act)
-    mask2 = _dropout_mask(sites[3], hidden.shape, hidden.dtype)
-    if mask2 is not None:
-        hidden *= mask2
+    mask2 = _dropout(hidden, sites[3], name)
     hidden += h1
     out, ln2 = _layer_norm(hidden, weights.norm2, save, name)
     if not save:
@@ -410,11 +427,10 @@ def encoder_layer_backward(saved, grad: np.ndarray):
     grads = {}
     g_r2, grads["norm2.weight"], grads["norm2.bias"] = _layer_norm_backward(
         grad, weights.norm2, ln2, name)
-    g_hidden = g_r2 * mask2 if mask2 is not None else g_r2
+    g_hidden = _dropout_backward(g_r2, mask2, name)
     g_act, grads["ff2.weight"], grads["ff2.bias"] = weights.ff2.backward(
         act, g_hidden)
-    if ff_mask is not None:
-        g_act *= ff_mask
+    _dropout_backward(g_act, ff_mask, name, out=g_act)
     g_h1, grads["ff1.weight"], grads["ff1.bias"] = weights.ff1.backward(
         h1, _gelu_backward(gelu, g_act, name))
     # h1 feeds ff1 and the second residual: two terms, so the order is
@@ -422,6 +438,6 @@ def encoder_layer_backward(saved, grad: np.ndarray):
     g_r2 += g_h1
     g_r1, grads["norm1.weight"], grads["norm1.bias"] = _layer_norm_backward(
         g_r2, weights.norm1, ln1, name)
-    g_att = g_r1 * mask1 if mask1 is not None else g_r1
+    g_att = _dropout_backward(g_r1, mask1, name)
     x_grads = _attention_backward(weights, attention, g_att, grads)
     return [g_r1, *x_grads], grads

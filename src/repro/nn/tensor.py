@@ -119,6 +119,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+# ----------------------------------------------------------------------
+# The GEMM layout rule, shared by ``Tensor.__matmul__`` and the
+# encoder-layer kernel's ``PackedLinear`` (docs/autograd.md, "GEMM layout")
+# ----------------------------------------------------------------------
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; a >= 3-D ``a`` times a 2-D ``b`` gets ``b`` C-contiguous.
+
+    NumPy runs that product as one GEMM per leading index, ~4x slower over
+    a transposed ``(in, out)`` view than over a C-contiguous array.  Rows
+    are never folded across leading indices, so a window's result does not
+    depend on its batch-mates.
+    """
+    if a.ndim >= 3 and b.ndim == 2:
+        b = np.ascontiguousarray(b)
+    return np.matmul(a, b)
+
+
+def _gemm_backward(a: np.ndarray, b: np.ndarray, grad: np.ndarray):
+    """``(grad_a, grad_b)`` of ``_gemm(a, b)`` for a >= 3-D ``a``, 2-D ``b``.
+
+    Each gradient is one GEMM over all rows: ``a_rows.T @ grad_rows`` and
+    ``grad_rows @ b.T`` with ``b.T`` C-contiguous, instead of a per-window
+    ``(N, in, out)`` stack reduced afterwards.
+    """
+    rows = grad.reshape(-1, b.shape[1])
+    grad_b = np.matmul(a.reshape(-1, b.shape[0]).T, rows)
+    grad_a = np.matmul(rows, np.ascontiguousarray(b.T)).reshape(a.shape)
+    return grad_a, grad_b
+
+
 def as_tensor(value, dtype=None) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar, or sequence) to a Tensor."""
     if isinstance(value, Tensor):
@@ -441,11 +471,11 @@ class Tensor:
         other = as_tensor(other)
         if _prof._ACTIVE:
             t0 = _prof._now()
-            data = np.matmul(self.data, other.data)
+            data = _gemm(self.data, other.data)
             _prof._profiler.record("Tensor.matmul", _prof._now() - t0,
                                    getattr(data, "nbytes", 0))
         else:
-            data = np.matmul(self.data, other.data)
+            data = _gemm(self.data, other.data)
         out = self._make(data, (self, other))
         if out.requires_grad:
             a, b = self.data, other.data
@@ -464,6 +494,10 @@ class Tensor:
                         _unbroadcast(grad[..., None] * b, self.shape), owned=True
                     )
                     grad_b = (a * grad[..., None]).reshape(-1, b.shape[0]).sum(axis=0)
+                    other._accumulate(grad_b, owned=True)
+                elif a.ndim >= 3 and b.ndim == 2:  # (..., m, k) @ (k, n)
+                    grad_a, grad_b = _gemm_backward(a, b, grad)
+                    self._accumulate(grad_a, owned=True)
                     other._accumulate(grad_b, owned=True)
                 else:  # (..., m, k) @ (..., k, n) -> (..., m, n)
                     grad_a = np.matmul(grad, np.swapaxes(b, -1, -2))

@@ -20,6 +20,7 @@ from .encoder_layer import (
 from .layers import Dropout, GELU, LayerNorm, Linear
 from .module import Module, ModuleList, Parameter
 from . import init
+from . import profiler as _prof
 from .tensor import Tensor, _make_node, is_grad_enabled
 
 __all__ = [
@@ -30,7 +31,8 @@ __all__ = [
 
 
 def _packed(linear: Linear, name: str) -> PackedLinear:
-    return PackedLinear(linear.weight.data.T, linear.bias.data,
+    return PackedLinear(np.ascontiguousarray(linear.weight.data.T),
+                        linear.bias.data,
                         name=f"encoder_layer.{name}")
 
 
@@ -71,8 +73,10 @@ class TransformerEncoderLayer(Module):
                 for key, module in owners.items() for part in ("weight", "bias")}
 
     def _kernel_weights(self, tokens: int) -> EncoderLayerWeights:
+        profiled = _prof._ACTIVE
+        t0 = _prof._now() if profiled else 0.0
         attn = self.attention
-        return EncoderLayerWeights(
+        weights = EncoderLayerWeights(
             q=_packed(attn.q_proj, "q_proj"), k=_packed(attn.k_proj, "k_proj"),
             v=_packed(attn.v_proj, "v_proj"), out=_packed(attn.out_proj, "out_proj"),
             ff1=_packed(self.ff1, "ff1"), ff2=_packed(self.ff2, "ff2"),
@@ -82,6 +86,9 @@ class TransformerEncoderLayer(Module):
                               self.norm2.eps),
             num_heads=attn.num_heads,
             mask=causal_mask(tokens)[None, None] if self.causal else None)
+        if profiled:
+            _prof._profiler.record("encoder_layer.pack", _prof._now() - t0)
+        return weights
 
     def forward(self, x: Tensor) -> Tensor:
         params = self._kernel_params()

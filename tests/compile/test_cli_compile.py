@@ -1,4 +1,4 @@
-"""``repro compile`` / ``repro profile --no-grad`` CLI behavior."""
+"""``repro compile`` / ``repro profile`` CLI behavior."""
 
 from __future__ import annotations
 
@@ -91,3 +91,18 @@ class TestProfileNoGrad:
                      "--output", str(out)]) == 0
         stats = json.loads(out.read_text())
         assert all(name.startswith("packed.") for name in stats)
+
+
+class TestProfileArguments:
+    @pytest.mark.parametrize("mode", [[], ["--no-grad"], ["--compiled"]],
+                             ids=["train", "no-grad", "compiled"])
+    @pytest.mark.parametrize("flag", ["--steps", "--batch-size"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_count_exits_2(self, mode, flag, value, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", flag, value] + mode)
+        assert exit_info.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert errors == [f"repro profile: error: argument {flag}: "
+                          f"must be >= 1, got {int(value)}"]

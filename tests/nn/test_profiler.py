@@ -168,6 +168,21 @@ class TestEncoderLayerRows:
         module = prof.stats["TransformerEncoderLayer"]
         assert module.self_s <= module.total_s
 
+    def test_dropout_and_operand_packing_have_rows(self):
+        layer = TransformerEncoderLayer(8, 2, dropout=0.2,
+                                        rng=np.random.default_rng(0))
+        x = Tensor(np.ones((2, 3, 8), dtype=np.float32), requires_grad=True)
+        with profiler.profile() as prof:
+            layer(x).sum().backward()
+        # Four sites: attention probabilities, dropout1, ff_dropout, dropout2.
+        assert prof.stats["encoder_layer.dropout"].count == 4
+        assert prof.stats["encoder_layer.dropout.backward"].count == 4
+        assert prof.stats["encoder_layer.pack"].count == 1
+        with profiler.profile() as prof:
+            layer.eval()(x)
+        assert "encoder_layer.dropout" not in prof.stats
+        assert prof.stats["encoder_layer.pack"].count == 1
+
 
 class TestProfileContextManager:
     def test_enables_and_disables(self):
